@@ -299,7 +299,23 @@ def _emit(result: QueryResult, fmt: str, text_lines) -> None:
             print(line)
 
 
-def _finish(result: QueryResult, fmt: str, text_lines) -> int:
+def _value_lines(result: QueryResult) -> list[str]:
+    if result.error is None:
+        return [result.value]
+    return [f"error {result.error}: {result.message}"]
+
+
+def _run_query(params: dict, backend: str, fmt: str, compute, text_lines=_value_lines) -> int:
+    """Time `compute(result)`, print its value or classified error, return the exit code."""
+    result = QueryResult(params, backend=backend)
+    start = time.perf_counter()
+    try:
+        value = compute(result)
+        if value is not None:
+            result.value = str(value)
+    except Exception as exc:  # classified below; unknown kinds re-raise
+        result.error, result.message = _classify(exc)
+    result.elapsed_ms = (time.perf_counter() - start) * 1000.0
     _emit(result, fmt, text_lines)
     if result.error is not None:
         return _ERROR_EXITS.get(result.error, 2)
@@ -312,79 +328,51 @@ def _finish(result: QueryResult, fmt: str, text_lines) -> int:
 
 
 def cmd_gw(args) -> int:
-    params = {
-        "command": "gw",
-        "n": args.n,
-        "genus": args.genus,
-        "degree": args.degree,
-        "partitions": args.partitions,
-    }
-    result = QueryResult(params, backend=args.backend)
-    start = time.perf_counter()
-    try:
+    params = {"command": "gw", "n": args.n, "genus": args.genus, "degree": args.degree,
+              "partitions": args.partitions}
+
+    def compute(result):
         insertions = parse_partition_list(args.partitions, args.n)
-        value = _compute_with_backend(
+        return _compute_with_backend(
             lambda kind: gw_invariant(args.n, args.genus, args.degree, insertions, kind),
             args.backend,
         )
-        result.value = str(value)
-    except Exception as exc:  # classified below; unknown kinds re-raise
-        result.error, result.message = _classify(exc)
-    result.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return _finish(result, args.format, lambda r: [r.value] if r.error is None
-                   else [f"error {r.error}: {r.message}"])
+
+    return _run_query(params, args.backend, args.format, compute)
 
 
 def cmd_count(args) -> int:
     params = {"command": "count", "n": args.n, "genus": args.genus, "ell": args.ell}
-    result = QueryResult(params, backend=args.backend)
-    start = time.perf_counter()
-    try:
+
+    def compute(result):
         value = _compute_with_backend(
             lambda kind: maximal_count(args.n, args.genus, args.ell, kind), args.backend
         )
         result.params["e"] = args.n * (args.ell - args.genus + 1) // 2
-        result.value = str(value)
-        if args.genus <= 1:
-            result.note = GENUS_NOTE
-    except Exception as exc:
-        result.error, result.message = _classify(exc)
-    result.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return _finish(
-        result,
-        args.format,
-        lambda r: [r.value, f"e = {r.params['e']}"] if r.error is None
-        else [f"error {r.error}: {r.message}"],
+        result.note = GENUS_NOTE if args.genus <= 1 else None
+        return value
+
+    return _run_query(
+        params, args.backend, args.format, compute,
+        lambda r: [r.value, f"e = {r.params['e']}"] if r.error is None else _value_lines(r),
     )
 
 
 def cmd_intersect(args) -> int:
-    params = {
-        "command": "intersect",
-        "n": args.n,
-        "genus": args.genus,
-        "ell": args.ell,
-        "e": args.e,
-        "poly": args.poly,
-    }
-    result = QueryResult(params, backend=args.backend)
-    start = time.perf_counter()
-    try:
+    params = {"command": "intersect", "n": args.n, "genus": args.genus, "ell": args.ell,
+              "e": args.e, "poly": args.poly}
+
+    def compute(result):
         expression = parse_poly(args.poly, args.n)
         value = _compute_with_backend(
-            lambda kind: intersection_number(
-                args.n, args.genus, args.ell, args.e, expression, kind
-            ),
+            lambda kind: intersection_number(args.n, args.genus, args.ell, args.e,
+                                             expression, kind),
             args.backend,
         )
-        result.value = str(value)
-        if args.genus <= 1:
-            result.note = GENUS_NOTE
-    except Exception as exc:
-        result.error, result.message = _classify(exc)
-    result.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return _finish(result, args.format, lambda r: [r.value] if r.error is None
-                   else [f"error {r.error}: {r.message}"])
+        result.note = GENUS_NOTE if args.genus <= 1 else None
+        return value
+
+    return _run_query(params, args.backend, args.format, compute)
 
 
 def cmd_table(args) -> int:
@@ -427,29 +415,19 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params = {
-        "command": "verify",
-        "suite": args.suite,
-        "max_n": args.max_n,
-        "max_genus": args.max_genus,
-        "seed": args.seed,
-        "cases": args.cases,
-    }
-    result = QueryResult(params, backend="exact")
-    start = time.perf_counter()
-    try:
+    params = {"command": "verify", "suite": args.suite, "max_n": args.max_n,
+              "max_genus": args.max_genus, "seed": args.seed, "cases": args.cases}
+
+    def compute(result):
         outcomes = run_suites([args.suite], args.max_n, args.max_genus, args.seed,
                               args.cases)
         result.checks = [
             {"name": o.name, "passed": o.passed, "detail": o.detail} for o in outcomes
         ]
-    except Exception as exc:
-        result.error, result.message = _classify(exc)
-    result.elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     def lines(r):
         if r.error is not None:
-            return [f"error {r.error}: {r.message}"]
+            return _value_lines(r)
         out = [
             f"{'PASS' if c['passed'] else 'FAIL'} {c['name']} ({c['detail']})"
             for c in r.checks
@@ -458,7 +436,7 @@ def cmd_verify(args) -> int:
                    else "verification FAILED")
         return out
 
-    return _finish(result, args.format, lines)
+    return _run_query(params, "exact", args.format, compute, lines)
 
 
 # -- entry point -----------------------------------------------------------------------

@@ -260,8 +260,25 @@ def _validated_insertions(n: int, insertions) -> list[StrictPartition]:
     return [as_strict(n, lam) for lam in insertions]
 
 
-def _two_power(backend, exponent: int):
-    return backend.from_fraction(Fraction(2) ** exponent)
+def _point_sum(n: int, g: int, backend: str, exponent: int, qtildes,
+               P: SchubertExpression | None = None) -> int:
+    """The integer 2^exponent * sum over the rank-n points of S^(g-1) * factors.
+
+    S is the staircase Schur value at the point; the factors are the qtilde
+    values of the partitions in `qtildes`, then the value of P if given.  This
+    is the only loop over the points, shared by the three formulas below.
+    """
+    eng, tables = _point_tables(n, backend)
+    top = staircase(n).parts
+    total = eng.zero
+    for table in tables:
+        term = eng.power(table.schur(top), g - 1)
+        for parts in qtildes:
+            term = term * table.qtilde(parts)
+        if P is not None:
+            term = term * P.evaluate(table)
+        total = total + term
+    return eng.extract_integer(total * eng.from_fraction(Fraction(2) ** exponent))
 
 
 # -- the formulas ------------------------------------------------------------------
@@ -286,16 +303,7 @@ def gw_invariant(n: int, g: int, d: int, insertions, backend: str = "exact") -> 
     lams = _validated_insertions(n, insertions)
     if required_degree(n, g, lams) != d:
         return 0
-    eng, tables = _point_tables(n, backend)
-    top = staircase(n).parts
-    total = eng.zero
-    for table in tables:
-        term = eng.power(table.schur(top), g - 1)
-        for lam in lams:
-            term = term * table.qtilde(lam.parts)
-        total = total + term
-    total = total * _two_power(eng, n * (g - 1) - d)
-    return eng.extract_integer(total)
+    return _point_sum(n, g, backend, n * (g - 1) - d, [lam.parts for lam in lams])
 
 
 def intersection_number(n: int, g: int, ell: int, e: int, P: SchubertExpression,
@@ -320,30 +328,20 @@ def intersection_number(n: int, g: int, ell: int, e: int, P: SchubertExpression,
         raise ValueError(f"expression uses parts above the rank {n}")
     if P.degree() != expected_dimension(n, e, ell, g):
         return 0
-    half_ell = ell // 2 if ell % 2 == 0 else (ell + 1) // 2
-    odd = ell % 2 != 0
-    eng, tables = _point_tables(n, backend)
-    top = staircase(n).parts
-    total = eng.zero
-    for table in tables:
-        term = eng.power(table.schur(top), g - 1)
-        if odd:
-            term = term * table.qtilde(top)
-        term = term * P.evaluate(table)
-        total = total + term
-    total = total * _two_power(eng, n * (g - 1) + e - half_ell * n)
-    return eng.extract_integer(total)
+    half_ell = (ell + 1) // 2
+    return _point_sum(n, g, backend, n * (g - 1) + e - half_ell * n,
+                      [staircase(n).parts] if ell % 2 else [], P)
 
 
 def maximal_count(n: int, g: int, ell: int, backend: str = "exact") -> int:
     """Number of maximal Lagrangian subbundles of a general stable symplectic bundle.
 
     Requires n(ell - g + 1) even, which fixes the maximal subsheaf degree
-    e = n(ell - g + 1)/2.  The prefactor is sqrt(2)^(n(g-1)) for even ell and
-    sqrt(2)^(n(g-2)) for odd ell (with an extra staircase qtilde factor in the
-    sum); sqrt(2) lives exactly in the working cyclotomic field.  The count is
-    enumerative for genus at least 2; for smaller genus it is the bare formula
-    value.
+    e = n(ell - g + 1)/2.  The prefactor is 2^(n(g-1)/2) for even ell and
+    2^(n(g-2)/2) for odd ell (with an extra staircase qtilde factor in the
+    sum); the parity condition makes both exponents whole numbers.  The count
+    is enumerative for genus at least 2; for smaller genus it is the bare
+    formula value.
     """
     if n < 1:
         raise ValueError(f"rank must be positive, got {n}")
@@ -354,17 +352,9 @@ def maximal_count(n: int, g: int, ell: int, backend: str = "exact") -> int:
             f"n(ell - g + 1) = {n * (ell - g + 1)} is odd; no finite count for "
             f"(n={n}, g={g}, ell={ell})"
         )
-    eng, tables = _point_tables(n, backend)
-    top = staircase(n).parts
-    odd = ell % 2 != 0
-    total = eng.zero
-    for table in tables:
-        term = eng.power(table.schur(top), g - 1)
-        if odd:
-            term = term * table.qtilde(top)
-        total = total + term
-    prefactor = eng.power(eng.sqrt2(), n * (g - 2) if odd else n * (g - 1))
-    return eng.extract_integer(total * prefactor)
+    odd = ell % 2
+    return _point_sum(n, g, backend, n * (g - 1 - odd) // 2,
+                      [staircase(n).parts] if odd else [])
 
 
 # -- structural identities -----------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -258,9 +259,15 @@ def _save_cache(algebra: QHAlgebra, path: Path) -> None:
         "constants": rows,
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(payload, indent=1))
-    os.replace(tmp, path)
+    # a unique temporary name, so processes building the same rank never share it
+    fd, tmp = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(json.dumps(payload, indent=1))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _load_cache(n: int, path: Path) -> QHAlgebra | None:
@@ -288,7 +295,10 @@ def _load_cache(n: int, path: Path) -> QHAlgebra | None:
 
 
 def build_qh_algebra(n: int, use_cache: bool = True, cache_dir=None) -> QHAlgebra:
-    """Build (or reload) the rank-n algebra; ring axioms are asserted either way."""
+    """Build (or reload) the rank-n algebra; ring axioms are asserted either way.
+
+    A cache that cannot be written is logged and the algebra kept in memory.
+    """
     if n < 1:
         raise ValueError(f"rank must be positive, got {n}")
     path = _cache_path(n, cache_dir)
@@ -296,7 +306,13 @@ def build_qh_algebra(n: int, use_cache: bool = True, cache_dir=None) -> QHAlgebr
     if algebra is None:
         algebra = QHAlgebra(n, tuple(strict_partitions(n)), _structure_constants(n))
         if use_cache:
-            _save_cache(algebra, path)
+            try:
+                _save_cache(algebra, path)
+            except OSError as exc:
+                import logging  # only here: importing it costs every CLI start about 3 ms
+
+                logging.getLogger(__name__).warning(
+                    "structure-constant cache not saved to %s: %s", path, exc)
     _validate(algebra)
     return algebra
 

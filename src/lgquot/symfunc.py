@@ -68,13 +68,16 @@ class PointTable:
         if k < 0:
             return self.backend.zero
         H = self._complete
-        while len(H) <= k:
-            m = len(H)
-            total = self.backend.zero
-            for i in range(1, min(m, self.size) + 1):
-                term = self._elementary[i] * H[m - i]
-                total = total + term if i % 2 else total - term
-            H.append(total)
+        if len(H) <= k:
+            H = list(H)  # extend a copy, then rebind: no thread sees a misplaced H_m
+            while len(H) <= k:
+                m = len(H)
+                total = self.backend.zero
+                for i in range(1, min(m, self.size) + 1):
+                    term = self._elementary[i] * H[m - i]
+                    total = total + term if i % 2 else total - term
+                H.append(total)
+            self._complete = H
         return H[k]
 
     def qtilde_pair(self, i: int, j: int):
@@ -115,13 +118,22 @@ class PointTable:
         return pfaffian(self.backend, rows)
 
     def schur(self, partition):
-        """The Schur value via the complete-function determinant."""
+        """The Schur value via the complete-function determinant.
+
+        For the staircase (N-1, ..., 1) of the N coordinates it is the product
+        of x_i + x_j over i < j instead (Macdonald I.3 Ex. 3): no division.
+        """
         parts = _parts(partition)
         cached = self._schur.get(parts)
         if cached is None:
             n = self.size
             if len(parts) > n:
                 cached = self.backend.zero
+            elif parts == tuple(range(n - 1, 0, -1)):
+                cached = self.backend.one
+                for i, x in enumerate(self.values):
+                    for y in self.values[i + 1:]:
+                        cached = cached * (x + y)
             else:
                 padded = parts + (0,) * (n - len(parts))
                 rows = [

@@ -1,9 +1,11 @@
 import json
+import logging
 import random
 from fractions import Fraction
 
 import pytest
 
+from lgquot.cli import main
 from lgquot.invariants import gw_invariant, required_degree
 from lgquot.oracle import (
     CACHE_FORMAT_VERSION,
@@ -282,6 +284,30 @@ def test_cache_version_mismatch_triggers_rebuild(tmp_path):
     rebuilt = build_qh_algebra(1, cache_dir=tmp_path)
     assert rebuilt.basis[1].parts == (1,)
     assert json.loads(path.read_text())["format_version"] == CACHE_FORMAT_VERSION
+
+
+def test_cache_save_leaves_no_temporary_file(tmp_path, monkeypatch, caplog):
+    build_qh_algebra(1, cache_dir=tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == [_cache_path(1, tmp_path).name]
+
+    def refuse(src, dst):
+        raise OSError("no space left")
+
+    monkeypatch.setattr("lgquot.oracle.os.replace", refuse)
+    with caplog.at_level(logging.WARNING, logger="lgquot.oracle"):
+        assert build_qh_algebra(2, cache_dir=tmp_path).dim == 4
+    assert "no space left" in caplog.text
+    assert [p.name for p in tmp_path.iterdir()] == [_cache_path(1, tmp_path).name]
+
+
+def test_unusable_cache_dir_does_not_fail_verification(tmp_path, monkeypatch, caplog, capsys):
+    blocker = tmp_path / "regular_file"
+    blocker.write_text("")
+    monkeypatch.setenv("LGQ_CACHE_DIR", str(blocker / "cache"))
+    with caplog.at_level(logging.WARNING, logger="lgquot.oracle"):
+        code = main(["verify", "--suite", "oracle"])
+    assert code == 0, capsys.readouterr().out
+    assert "cache not saved" in caplog.text
 
 
 def test_corrupt_cache_is_ignored(tmp_path):

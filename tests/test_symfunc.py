@@ -1,10 +1,16 @@
 import random
+import sys
+import threading
+import time
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
+from types import SimpleNamespace
 
 import pytest
 
-from lgquot.cyclotomic import ExactBackend, FloatBackend
+from lgquot.cyclotomic import ExactBackend, FloatBackend, make_backend
+from lgquot.invariants import point_from_tuple
+from lgquot.partitions import staircase, summation_tuples
 from lgquot.symfunc import (
     PointTable,
     SkewMatrix,
@@ -130,6 +136,22 @@ def test_schur_at_staircase_points():
     minus = (BACKEND.root_of_unity(8, 3), BACKEND.root_of_unity(8, 5))
     assert schur(BACKEND, (1,), plus) == s2
     assert schur(BACKEND, (1,), minus) == -s2
+    # the closed staircase product equals Jacobi-Trudi at every admissible point, ranks 1-6
+    for n in range(1, 7):
+        top = staircase(n).parts + (0,)
+        for kind in ("exact", "float"):
+            backend = make_backend(kind, n)
+            for J in summation_tuples(n + 1):
+                table = PointTable(backend, point_from_tuple(backend, J))
+                jacobi_trudi = determinant(
+                    backend,
+                    [[table.h(top[i] + j - i) for j in range(n + 1)] for i in range(n + 1)],
+                )
+                value = table.schur(top)
+                if kind == "exact":
+                    assert value == jacobi_trudi
+                else:
+                    assert abs(value - jacobi_trudi) <= 1e-9 * abs(jacobi_trudi)
 
 
 def test_schur_against_ratio_of_alternants():
@@ -174,6 +196,57 @@ def test_schur_symmetry_and_padding():
 def test_schur_with_too_many_rows_vanishes():
     point = rational_point(random.Random(6), 2)
     assert BACKEND.is_zero(schur(BACKEND, (3, 2, 1), point))
+
+
+class _Yielding:
+    """A rational whose multiply releases the GIL, so threads switch mid-recurrence."""
+
+    def __init__(self, value):
+        self.value = Fraction(value)
+
+    def __mul__(self, other):
+        time.sleep(0)
+        return _Yielding(self.value * other.value)
+
+    def __add__(self, other):
+        return _Yielding(self.value + other.value)
+
+    def __sub__(self, other):
+        return _Yielding(self.value - other.value)
+
+    def __eq__(self, other):
+        return self.value == other.value
+
+
+def test_complete_values_shared_across_threads():
+    # threads extending one table's complete values must never store H_m at a wrong index
+    backend = SimpleNamespace(zero=_Yielding(0), one=_Yielding(1))
+    point = [_Yielding(Fraction(k, 3)) for k in (1, -2, 4, 5)]
+    upto = 12
+    expected = [PointTable(backend, point).h(k) for k in range(upto + 1)]
+    wrong = []
+
+    def fill(table, start, step):
+        start.wait()
+        for k in range(step, upto + 1, step):
+            table.h(k)
+        wrong.extend(k for k in range(upto + 1) if table.h(k) != expected[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            table = PointTable(backend, point)
+            start = threading.Barrier(4)
+            threads = [threading.Thread(target=fill, args=(table, start, step))
+                       for step in (1, 2, 3, 5)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong
 
 
 def test_qtilde_pair_identities():
