@@ -214,7 +214,7 @@ def parse_genus_range(text: str) -> range:
 
 @dataclass
 class QueryResult:
-    """Echo of the query parameters plus the computed value or an error code."""
+    """Echo of the query parameters plus the computed value, table rows or an error code."""
 
     params: dict
     value: str | None = None
@@ -224,14 +224,17 @@ class QueryResult:
     error: str | None = None
     message: str | None = None
     checks: list = field(default_factory=list)
+    rows: list | None = None
 
     def to_dict(self) -> dict:
         out = dict(self.params)
-        if self.error is None:
-            out["value"] = self.value
-        else:
+        if self.error is not None:
             out["error"] = self.error
             out["message"] = self.message
+        elif self.rows is not None:
+            out["rows"] = self.rows
+        else:
+            out["value"] = self.value
         if self.note:
             out["note"] = self.note
         if self.checks:
@@ -376,42 +379,29 @@ def cmd_intersect(args) -> int:
 
 
 def cmd_table(args) -> int:
-    start = time.perf_counter()
-    rows = []
-    try:
-        genera = parse_genus_range(args.genus_range)
-        for g in genera:
+    params = {"command": "table", "n": args.n, "genus_range": args.genus_range,
+              "ell": args.ell}
+
+    def compute(result):
+        rows = []
+        for g in parse_genus_range(args.genus_range):
             if (args.n * (args.ell - g + 1)) % 2:
                 continue  # no finite count at this genus; row omitted
-            e = args.n * (args.ell - g + 1) // 2
             value = _compute_with_backend(
-                lambda kind, genus=g: maximal_count(args.n, genus, args.ell, kind),
-                args.backend,
+                lambda kind: maximal_count(args.n, g, args.ell, kind), args.backend
             )
-            rows.append({"n": args.n, "g": g, "ell": args.ell, "e": e, "value": str(value)})
-    except Exception as exc:
-        code, message = _classify(exc)
-        result = QueryResult(
-            {"command": "table", "n": args.n, "genus_range": args.genus_range,
-             "ell": args.ell},
-            backend=args.backend, error=code, message=message,
-        )
-        result.elapsed_ms = (time.perf_counter() - start) * 1000.0
-        _emit(result, "json" if args.format == "json" else "text",
-              lambda r: [f"error {r.error}: {r.message}"])
-        return _ERROR_EXITS.get(code, 2)
-    if args.format == "json":
-        elapsed = (time.perf_counter() - start) * 1000.0
-        print(json.dumps({
-            "command": "table", "n": args.n, "genus_range": args.genus_range,
-            "ell": args.ell, "rows": rows, "backend": args.backend,
-            "elapsed_ms": elapsed,
-        }))
-    else:
-        print("n,g,ell,e,value")
-        for row in rows:
-            print(f"{row['n']},{row['g']},{row['ell']},{row['e']},{row['value']}")
-    return 0
+            rows.append({"n": args.n, "g": g, "ell": args.ell,
+                         "e": args.n * (args.ell - g + 1) // 2, "value": str(value)})
+        result.rows = rows
+
+    def lines(r):
+        if r.error is not None:
+            return _value_lines(r)
+        return ["n,g,ell,e,value"] + [
+            f"{row['n']},{row['g']},{row['ell']},{row['e']},{row['value']}" for row in r.rows
+        ]
+
+    return _run_query(params, args.backend, args.format, compute, lines)
 
 
 def cmd_verify(args) -> int:

@@ -117,15 +117,15 @@ def _reduce_mod_phi(order: int, coeffs: list[int]) -> list[int]:
     """Reduce an integer coefficient vector modulo the cyclotomic polynomial."""
     phi = cyclotomic_polynomial(order)
     deg = len(phi) - 1
-    if len(coeffs) < deg:
-        coeffs = coeffs + [0] * (deg - len(coeffs))
+    if len(coeffs) <= deg:
+        return coeffs + [0] * (deg - len(coeffs))
+    terms = [(j, p) for j, p in enumerate(phi[:deg]) if p]
     for i in range(len(coeffs) - 1, deg - 1, -1):
         c = coeffs[i]
         if c:
-            coeffs[i] = 0
             base = i - deg
-            for j in range(deg):
-                coeffs[base + j] -= c * phi[j]
+            for j, p in terms:
+                coeffs[base + j] -= c * p
     return coeffs[:deg]
 
 
@@ -270,17 +270,35 @@ class CyclotomicNumber:
                 base = base * base
         return result
 
+    def _conjugate(self, a: int) -> CyclotomicNumber:
+        """The Galois conjugate zeta -> zeta^a, for a unit a modulo the order."""
+        out = [0] * self.order
+        for k, c in enumerate(self.num):
+            out[k * a % self.order] = c
+        return CyclotomicNumber(self.order, out, self.den)
+
     def inverse(self) -> CyclotomicNumber:
-        """Multiplicative inverse; zero raises NonvanishingAssumptionError."""
+        """Multiplicative inverse; zero raises NonvanishingAssumptionError.
+
+        The adjugate is the product of the other Galois conjugates, taken over
+        the real subfield: with xbar the complex conjugate and y = x * xbar,
+        adj = xbar * prod(sigma_a(y)) over the units 1 < a < m/2, so that
+        x * adj is the rational norm N(x) and x^(-1) = adj / N(x).
+        """
         if self.is_zero():
             raise NonvanishingAssumptionError(
                 f"inverting zero in the cyclotomic field of order {self.order}"
             )
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        a = [Fraction(c, self.den) for c in self.num]
-        u = _poly_inverse_mod(a, phi)
-        den = reduce(lcm, (f.denominator for f in u), 1)
-        return CyclotomicNumber(self.order, [int(f * den) for f in u], den)
+        m = self.order
+        adj = self._conjugate(m - 1)
+        y = self * adj
+        for a in range(2, (m + 1) // 2):
+            if gcd(a, m) == 1:
+                adj = adj * y._conjugate(a)
+        norm = (self * adj).as_fraction()
+        return CyclotomicNumber(
+            m, [c * norm.denominator for c in adj.num], adj.den * norm.numerator
+        )
 
     # -- comparison -------------------------------------------------------------
 
@@ -297,51 +315,6 @@ class CyclotomicNumber:
         if self.is_rational():
             return f"CyclotomicNumber({self.order}, {Fraction(self.num[0], self.den)})"
         return f"CyclotomicNumber({self.order}, {self.coeffs})"
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - dd, 1)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            q = c / lead
-            quot[i - dd] = q
-            for j, dj in enumerate(den):
-                num[i - dd + j] -= q * dj
-    return quot, _poly_trim(num[:dd] or [Fraction(0)])
-
-
-def _poly_inverse_mod(a: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
-    """The inverse of a modulo an irreducible polynomial, by extended Euclid."""
-    r0, s0 = list(mod), [Fraction(0)]
-    r1, s1 = _poly_trim(list(a)), [Fraction(1)]
-    while True:
-        if len(r1) == 1:
-            if r1[0] == 0:
-                raise ArithmeticError("polynomial not invertible modulo the given modulus")
-            c = r1[0]
-            return [x / c for x in s1]
-        q, r = _poly_divmod(r0, r1)
-        prod = [Fraction(0)] * (len(q) + len(s1) - 1)
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    prod[i + j] += qi * sj
-        new_s = [Fraction(0)] * max(len(s0), len(prod))
-        for i, v in enumerate(s0):
-            new_s[i] += v
-        for i, v in enumerate(prod):
-            new_s[i] -= v
-        r0, s0, r1, s1 = r1, s1, r, _poly_trim(new_s)
 
 
 def root_of_unity(order: int, k: int) -> CyclotomicNumber:

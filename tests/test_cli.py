@@ -154,6 +154,16 @@ def test_table_json_round_trips_byte_identical():
     assert all(isinstance(r["value"], str) for r in rows)
 
 
+def test_table_json_error_payload():
+    cp = run_cli("table", "--n", "2", "--genus-range", "4..2", "--ell", "0",
+                 "--format", "json")
+    assert cp.returncode == 2
+    payload = json.loads(cp.stdout)
+    assert payload["error"] == "PARSE"
+    assert "rows" not in payload
+    assert "value" not in payload
+
+
 def test_json_round_trip_and_decimal_strings():
     cp = run_cli("gw", "--n", "2", "--genus", "3", "--degree", "3",
                  "--partitions", "2,1", "--format", "json")
