@@ -238,9 +238,21 @@ def required_degree(n: int, g: int, insertions) -> int | None:
 # -- evaluation points -----------------------------------------------------------
 
 
+# Largest rank each backend answers.  A query sums over 2^n points; one rank
+# more would run for a minute or longer, and the float point tables double in
+# memory with each rank (README, Conventions).
+_MAX_RANK = {"exact": 12, "float": 18}
+
+
 @lru_cache(maxsize=None)
 def _point_tables(n: int, kind: str):
     """Backend plus one cached PointTable per admissible exponent tuple."""
+    limit = _MAX_RANK.get(kind)
+    if limit is not None and n > limit:
+        raise ValueError(
+            f"rank {n} is above the {kind} backend's limit of {limit}: "
+            f"a query would sum over 2^{n} = {2**n} points"
+        )
     backend = make_backend(kind, n)
     order = 4 * (n + 1)
     tables = tuple(

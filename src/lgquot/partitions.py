@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 __all__ = [
     "Partition",
@@ -158,7 +158,11 @@ def _window(N: int) -> tuple[int, int, int]:
 
 
 def root_tuples(N: int) -> list[IndexTuple]:
-    """Every strictly increasing exponent tuple in the size-N window."""
+    """Every strictly increasing exponent tuple in the size-N window.
+
+    With the two filters below this is the reference that the direct
+    construction in `summation_tuples` is tested against.
+    """
     lo, hi, _parity = _window(N)
     return [IndexTuple(N, c) for c in combinations(range(lo, hi + 1, 2), N)]
 
@@ -167,7 +171,8 @@ def filter_no_opposites(tuples) -> list[IndexTuple]:
     """Keep tuples whose root-of-unity coordinates are pairwise non-opposite.
 
     With zeta of order 2N, two coordinates are opposite exactly when their
-    doubled exponents differ by 2N modulo 4N.
+    doubled exponents differ by 2N modulo 4N.  Part of the reference that
+    `summation_tuples` is tested against.
     """
     out = []
     for t in tuples:
@@ -187,6 +192,7 @@ def filter_unit_product(tuples) -> list[IndexTuple]:
 
     The product of the coordinates is the primitive 4N-th root raised to the
     sum of doubled exponents, so the condition is that sum vanishing mod 4N.
+    Part of the reference that `summation_tuples` is tested against.
     """
     return [t for t in tuples if sum(t.doubled) % (4 * t.N) == 0]
 
@@ -195,7 +201,18 @@ def filter_unit_product(tuples) -> list[IndexTuple]:
 def summation_tuples(N: int) -> tuple[IndexTuple, ...]:
     """The index set of all evaluation points: no opposite pairs, unit product.
 
-    For N = n + 1 this set has exactly 2^n elements, matching the rank of the
-    cohomology of the rank-n Lagrangian Grassmannian.
+    The size-N window holds exactly 2N doubled exponents, which form N
+    opposite pairs (d, d + 2N).  A tuple without opposite coordinates takes
+    one value from each pair, so there are 2^N of them.  Swapping the pick in
+    one pair moves the exponent sum by 2N mod 4N, so exactly half of them
+    have unit product.  For N = n + 1 the set therefore has 2^n elements,
+    matching the rank of the cohomology of the rank-n Lagrangian
+    Grassmannian.  Tuples come in the order of
+    `filter_unit_product(filter_no_opposites(root_tuples(N)))`.
     """
-    return tuple(filter_unit_product(filter_no_opposites(root_tuples(N))))
+    lo, _hi, _parity = _window(N)
+    pairs = [(d, d + 2 * N) for d in range(lo, lo + 2 * N, 2)]
+    picks = sorted(
+        tuple(sorted(pick)) for pick in product(*pairs) if sum(pick) % (4 * N) == 0
+    )
+    return tuple(IndexTuple(N, pick) for pick in picks)

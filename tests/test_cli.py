@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,16 @@ def test_count_json_error_payload():
     payload = json.loads(cp.stdout)
     assert payload["error"] == "PARITY"
     assert "value" not in payload
+
+
+def test_count_refuses_rank_above_backend_limit():
+    for backend in ("exact", "float", "both"):
+        started = time.perf_counter()
+        cp = run_cli("count", "--n", "40", "--genus", "2", "--ell", "0",
+                     "--backend", backend)
+        assert time.perf_counter() - started < 1.0
+        assert cp.returncode == 2
+        assert "USAGE" in cp.stdout and "2^40" in cp.stdout
 
 
 def test_intersect_known_value_and_poly_grammar():

@@ -161,6 +161,15 @@ def test_maximal_count_parity_error():
     maximal_count(2, 2, 1)
 
 
+def test_ranks_above_backend_limit_refused_before_points():
+    with pytest.raises(ValueError, match=r"limit of 12: .* 2\^13 = 8192 points"):
+        maximal_count(13, 3, 0)
+    with pytest.raises(ValueError, match=r"limit of 18: .* 2\^19 = 524288 points"):
+        gw_invariant(19, 1, 0, [], "float")
+    with pytest.raises(ValueError, match="limit of 12"):
+        intersection_number(40, 2, 0, -20, ONE)
+
+
 def test_maximal_count_agrees_with_intersection_number():
     for n, g, ell in [(1, 2, 1), (2, 2, 0), (2, 2, -1), (2, 4, 1), (3, 2, 1), (3, 3, 0)]:
         e = n * (ell - g + 1) // 2

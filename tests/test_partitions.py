@@ -127,8 +127,15 @@ def test_filters_match_hand_enumeration_for_two():
 
 def test_summation_tuples_cardinality_law():
     assert len(summation_tuples(3)) == 4
-    for n in range(1, 11):
+    for n in range(1, 15):
         assert len(summation_tuples(n + 1)) == 2**n
+
+
+def test_summation_tuples_match_filter_oracle():
+    # the direct construction gives the filtered candidates, in the same order
+    for N in range(1, 10):
+        oracle = tuple(filter_unit_product(filter_no_opposites(root_tuples(N))))
+        assert summation_tuples(N) == oracle
 
 
 def test_filter_conditions_against_complex_arithmetic():
