@@ -343,6 +343,14 @@ class ExactBackend:
     def from_fraction(self, value):
         return CyclotomicNumber.from_fraction(self.order, value)
 
+    def from_ring(self, coeffs):
+        """The field value of sum c_k zeta^k, zeta the primitive order-th root.
+
+        `coeffs` is an integer vector of an element of Z[x]/(x^order - 1); it
+        is reduced modulo the cyclotomic polynomial once.
+        """
+        return CyclotomicNumber(self.order, coeffs)
+
     def root_of_unity(self, order: int, k: int):
         if self.order % order:
             raise ValueError(f"order {order} does not divide working order {self.order}")

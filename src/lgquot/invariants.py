@@ -238,9 +238,9 @@ def required_degree(n: int, g: int, insertions) -> int | None:
 # -- evaluation points -----------------------------------------------------------
 
 
-# Largest rank each backend answers.  A query sums over 2^n points; one rank
-# more would run for a minute or longer, and the float point tables double in
-# memory with each rank (README, Conventions).
+# Largest rank each backend answers.  A query sums over 2^n points, at odd ell
+# each with a staircase Pfaffian of n!! or (n-1)!! products, and the float
+# point tables double in memory with each rank (README, Conventions).
 _MAX_RANK = {"exact": 12, "float": 18}
 
 
@@ -254,11 +254,15 @@ def _point_tables(n: int, kind: str):
             f"a query would sum over 2^{n} = {2**n} points"
         )
     backend = make_backend(kind, n)
-    order = 4 * (n + 1)
-    tables = tuple(
-        PointTable(backend, [backend.root_of_unity(order, d) for d in J.doubled])
-        for J in summation_tuples(n + 1)
-    )
+    if backend.name == "exact":
+        # the points are powers of the primitive 4(n+1)-th root, itself a power
+        # of the backend's root: the tables build their values in the group ring
+        scale = backend.order // (4 * (n + 1))
+        tables = tuple(PointTable(backend, exponents=[d * scale for d in J.doubled])
+                       for J in summation_tuples(n + 1))
+    else:
+        tables = tuple(PointTable(backend, point_from_tuple(backend, J))
+                       for J in summation_tuples(n + 1))
     return backend, tables
 
 

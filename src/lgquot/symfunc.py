@@ -2,8 +2,11 @@
 determinants, Pfaffians, and Pragacz-Ratajski qtilde polynomials.
 
 Everything here evaluates at a fixed tuple of backend numbers; no symbolic
-polynomial ring is involved.  A PointTable caches all per-point values, since
-each evaluation point is reused across many partition labels.
+polynomial ring is involved.  A point whose coordinates are roots of unity
+may instead be given by their exponents, and its staircase Schur value and
+elementary values are then built in the integer group ring of the root's
+order.  A PointTable caches all per-point values, since each evaluation point
+is reused across many partition labels.
 """
 
 from __future__ import annotations
@@ -39,29 +42,62 @@ def _parts(partition) -> tuple[int, ...]:
 class PointTable:
     """Symmetric-function values at one evaluation point, cached on demand.
 
-    The elementary values are computed eagerly; complete values grow as
-    needed via the alternating recurrence; pairwise and full qtilde values
-    and Schur values are memoized by partition.
+    A point is given by its coordinate values, or, for a backend with a
+    cyclotomic `order` m, by the exponents k_i of its coordinates zeta^k_i
+    (zeta the primitive m-th root).  Given exponents, the staircase Schur
+    value and the elementary values are built in the group ring Z[x]/(x^m - 1),
+    where multiplying by a coordinate is a cyclic shift of a coefficient
+    vector, and each is mapped into the backend once (`backend.from_ring`).
+
+    Every value is computed on first use: the elementary values, the complete
+    values (grown via the alternating recurrence), and the pairwise, full
+    qtilde and Schur values memoized by partition.
     """
 
-    def __init__(self, backend, values):
+    def __init__(self, backend, values=None, exponents=None):
+        if (values is None) == (exponents is None):
+            raise TypeError("a point is given by its values or by its exponents, exactly one")
         self.backend = backend
-        self.values = tuple(values)
-        self._elementary = elementary_all(backend, self.values)
+        self.exponents = None if exponents is None else tuple(k % backend.order for k in exponents)
+        self._values = None if values is None else tuple(values)
+        self._elementary = None
         self._complete = [backend.one]
         self._pair: dict[tuple[int, int], object] = {}
         self._qtilde: dict[tuple[int, ...], object] = {}
         self._schur: dict[tuple[int, ...], object] = {}
 
     @property
+    def values(self) -> tuple:
+        """The coordinates as backend numbers."""
+        values = self._values
+        if values is None:
+            order = self.backend.order
+            values = tuple(self.backend.root_of_unity(order, k) for k in self.exponents)
+            self._values = values
+        return values
+
+    @property
     def size(self) -> int:
-        return len(self.values)
+        return len(self.values if self.exponents is None else self.exponents)
+
+    def _elementaries(self) -> list:
+        E = self._elementary
+        if E is None:
+            E = self._build_elementary()  # built in full, then stored
+            self._elementary = E
+        return E
+
+    def _build_elementary(self) -> list:
+        if self.exponents is None:
+            return elementary_all(self.backend, self.values)
+        return [self.backend.from_ring(c)
+                for c in _ring_elementary(self.backend.order, self.exponents)]
 
     def e(self, k: int):
         """Elementary value E_k; zero outside 0..N."""
         if k < 0 or k > self.size:
             return self.backend.zero
-        return self._elementary[k]
+        return self._elementaries()[k]
 
     def h(self, k: int):
         """Complete value H_k; zero for k < 0."""
@@ -69,12 +105,13 @@ class PointTable:
             return self.backend.zero
         H = self._complete
         if len(H) <= k:
+            E = self._elementaries()
             H = list(H)  # extend a copy, then rebind: no thread sees a misplaced H_m
             while len(H) <= k:
                 m = len(H)
                 total = self.backend.zero
                 for i in range(1, min(m, self.size) + 1):
-                    term = self._elementary[i] * H[m - i]
+                    term = E[i] * H[m - i]
                     total = total + term if i % 2 else total - term
                 H.append(total)
             self._complete = H
@@ -130,10 +167,7 @@ class PointTable:
             if len(parts) > n:
                 cached = self.backend.zero
             elif parts == tuple(range(n - 1, 0, -1)):
-                cached = self.backend.one
-                for i, x in enumerate(self.values):
-                    for y in self.values[i + 1:]:
-                        cached = cached * (x + y)
+                cached = self._staircase()
             else:
                 padded = parts + (0,) * (n - len(parts))
                 rows = [
@@ -142,6 +176,68 @@ class PointTable:
                 cached = determinant(self.backend, rows)
             self._schur[parts] = cached
         return cached
+
+    def _staircase(self):
+        if self.exponents is not None:
+            return self.backend.from_ring(_ring_staircase(self.backend.order, self.exponents))
+        value = self.backend.one
+        for i, x in enumerate(self.values):
+            for y in self.values[i + 1:]:
+                value = value * (x + y)
+        return value
+
+
+class _PackedRing:
+    """Z[x]/(x^m - 1) for elements with nonnegative coefficients below 2^width.
+
+    An element is one Python integer holding coefficient k in bits
+    k*width .. (k+1)*width - 1, so multiplying by x^a is a cyclic shift of the
+    integer and adding two elements adds their coefficients.
+    """
+
+    __slots__ = ("m", "width", "bits", "mask")
+
+    def __init__(self, m: int, width: int):
+        self.m, self.width = m, width
+        self.bits = m * width
+        self.mask = (1 << self.bits) - 1
+
+    def shift(self, p: int, a: int) -> int:
+        """x^a * p, for 0 <= a < m."""
+        q = p << (a * self.width)
+        return (q & self.mask) | (q >> self.bits)
+
+    def coeffs(self, p: int) -> list[int]:
+        slot = (1 << self.width) - 1
+        return [(p >> (k * self.width)) & slot for k in range(self.m)]
+
+
+def _ring_staircase(m: int, exponents) -> list[int]:
+    """The product of x^a + x^b over pairs a, b of exponents, in Z[x]/(x^m - 1).
+
+    Expanded, the product has 2^pairs monomials, so no coefficient reaches
+    2^(pairs + 1).
+    """
+    pairs = len(exponents) * (len(exponents) - 1) // 2
+    ring = _PackedRing(m, pairs + 1)
+    p = 1
+    for i, a in enumerate(exponents):
+        for b in exponents[i + 1:]:
+            p = ring.shift(p, a) + ring.shift(p, b)
+    return ring.coeffs(p)
+
+
+def _ring_elementary(m: int, exponents) -> list[list[int]]:
+    """E_0..E_N from the product of (1 + x^a t) over the exponents, in Z[x]/(x^m - 1).
+
+    E_k has C(N, k) <= 2^N monomials.
+    """
+    ring = _PackedRing(m, len(exponents) + 1)
+    E = [1] + [0] * len(exponents)
+    for count, a in enumerate(exponents, start=1):
+        for k in range(count, 0, -1):
+            E[k] += ring.shift(E[k - 1], a)
+    return [ring.coeffs(c) for c in E]
 
 
 def elementary_all(backend, values) -> list:

@@ -212,6 +212,22 @@ def test_verify_seed_reproducible():
     assert a == b
 
 
+def test_verify_oracle_names_its_rank_cap():
+    args = ("verify", "--suite", "oracle", "--seed", "2", "--cases", "4")
+    cp = run_cli(*args, "--max-n", "5")
+    assert cp.returncode == 0, cp.stdout + cp.stderr
+    note = "ranks 1..3; asked for 1..5, the oracle stops at 3"
+    assert f"PASS algebra_axioms ({note})" in cp.stdout
+    assert f"PASS euler_invertible ({note})" in cp.stdout
+    payload = json.loads(run_cli(*args, "--max-n", "5", "--format", "json").stdout)
+    details = {c["name"]: c["detail"] for c in payload["checks"]}
+    assert details["algebra_axioms"] == details["euler_invertible"] == note
+    # within the cap the detail names the ranks only
+    cp = run_cli(*args, "--max-n", "3")
+    assert "PASS algebra_axioms (ranks 1..3)\n" in cp.stdout
+    assert "asked for" not in cp.stdout
+
+
 def test_usage_error_without_subcommand():
     cp = run_cli()
     assert cp.returncode == 2

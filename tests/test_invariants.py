@@ -176,6 +176,35 @@ def test_maximal_count_agrees_with_intersection_number():
         assert maximal_count(n, g, ell) == intersection_number(n, g, ell, e, ONE)
 
 
+def test_elementary_values_built_on_first_use(monkeypatch):
+    from lgquot.symfunc import PointTable
+
+    built = []
+    build = PointTable._build_elementary
+
+    def spy(table):
+        built.append(table)
+        return build(table)
+
+    monkeypatch.setattr(PointTable, "_build_elementary", spy)
+    _point_tables.cache_clear()
+    try:
+        # an even-ell count reads only the staircase Schur value
+        maximal_count(4, 3, 0)
+        maximal_count(4, 2, 0, "float")
+        assert built == []
+        # an odd-ell count inserts the staircase qtilde value, a Pfaffian of E's
+        maximal_count(4, 3, 1)
+        assert len(built) == 2**4
+        assert len(set(map(id, built))) == len(built)
+        built.clear()
+        _point_tables.cache_clear()
+        assert gw_invariant(2, 0, 0, [(1,), (1,), (1,)]) == 2
+        assert len(built) == 2**2
+    finally:
+        _point_tables.cache_clear()
+
+
 def test_point_from_tuple_matches_complex_coordinates():
     import cmath
 

@@ -206,7 +206,12 @@ class _Yielding:
 
     def __mul__(self, other):
         time.sleep(0)
-        return _Yielding(self.value * other.value)
+        return _Yielding(self.value * getattr(other, "value", other))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return _Yielding(-self.value)
 
     def __add__(self, other):
         return _Yielding(self.value + other.value)
@@ -247,6 +252,93 @@ def test_complete_values_shared_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not wrong
+
+
+def test_elementary_and_qtilde_values_shared_across_threads():
+    # threads building one fresh table's elementary values on first use, and the
+    # qtilde values from them, must all read what a single-threaded table holds
+    backend = SimpleNamespace(zero=_Yielding(0), one=_Yielding(1))
+    point = [_Yielding(Fraction(k, 3)) for k in (1, -2, 4, 5, 7)]
+    shapes = [(1,), (2, 1), (3, 1), (3, 2, 1), (4, 2), (5, 3, 1)]
+    single = PointTable(backend, point)
+    expected_e = [single.e(k) for k in range(len(point) + 1)]
+    expected_q = [single.qtilde(lam) for lam in shapes]
+    wrong = []
+
+    def read(table, start, offset):
+        start.wait()
+        for k in range(offset, offset + len(point) + 1):
+            k %= len(point) + 1
+            if table.e(k) != expected_e[k]:
+                wrong.append(("e", k))
+        for i in range(len(shapes)):
+            i = (i + offset) % len(shapes)
+            if table.qtilde(shapes[i]) != expected_q[i]:
+                wrong.append(("qtilde", shapes[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            table = PointTable(backend, point)
+            start = threading.Barrier(4)
+            threads = [threading.Thread(target=read, args=(table, start, offset))
+                       for offset in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong
+
+
+def test_group_ring_tables_match_the_oracle():
+    # a table built from exponents in Z[x]/(x^m - 1) gives the Jacobi-Trudi
+    # staircase value and elementary_all's E_0..E_N at every admissible point
+    for n in range(1, 9):
+        backend = make_backend("exact", n)
+        scale = backend.order // (4 * (n + 1))
+        top = staircase(n).parts + (0,)
+        for J in summation_tuples(n + 1):
+            values = point_from_tuple(backend, J)
+            ring = PointTable(backend, exponents=[d * scale for d in J.doubled])
+            plain = PointTable(backend, values)
+            jacobi_trudi = determinant(
+                backend,
+                [[plain.h(top[i] + j - i) for j in range(n + 1)] for i in range(n + 1)],
+            )
+            assert ring.schur(top) == jacobi_trudi
+            assert [ring.e(k) for k in range(n + 2)] == elementary_all(backend, values)
+            assert ring.values == values
+
+
+def test_group_ring_table_equals_table_from_values():
+    shapes = [(1,), (2, 1), (3, 1), (3, 2, 1), (4, 3, 1), (5, 4, 2, 1)]
+    for n in (3, 4, 5):
+        backend = make_backend("exact", n)
+        scale = backend.order // (4 * (n + 1))
+        for J in summation_tuples(n + 1)[::3]:
+            ring = PointTable(backend, exponents=[d * scale for d in J.doubled])
+            plain = PointTable(backend, point_from_tuple(backend, J))
+            assert [ring.h(k) for k in range(2 * n + 2)] == [
+                plain.h(k) for k in range(2 * n + 2)
+            ]
+            for i in range(n + 2):
+                for j in range(i + 1):
+                    assert ring.qtilde_pair(i, j) == plain.qtilde_pair(i, j)
+            for lam in shapes:
+                if lam[0] <= n + 1:
+                    assert ring.qtilde(lam) == plain.qtilde(lam)
+            assert ring.schur((2, 1)) == plain.schur((2, 1))
+
+
+def test_point_table_needs_values_or_exponents():
+    with pytest.raises(TypeError):
+        PointTable(BACKEND)
+    with pytest.raises(TypeError):
+        PointTable(BACKEND, [BACKEND.one], exponents=[0])
 
 
 def test_qtilde_pair_identities():
