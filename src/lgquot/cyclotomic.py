@@ -367,9 +367,6 @@ class ExactBackend:
     def is_zero(self, value) -> bool:
         return value.is_zero()
 
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def extract_integer(self, value) -> int:
         return value.as_integer()
 
@@ -412,9 +409,6 @@ class FloatBackend:
 
     def is_zero(self, value: complex) -> bool:
         return abs(value) <= self.zero_tolerance
-
-    def eq(self, a: complex, b: complex) -> bool:
-        return abs(a - b) <= 1e-9 * (1.0 + max(abs(a), abs(b)))
 
     def extract_integer(self, value: complex) -> int:
         nearest = round(value.real)

@@ -238,10 +238,11 @@ def required_degree(n: int, g: int, insertions) -> int | None:
 # -- evaluation points -----------------------------------------------------------
 
 
-# Largest rank each backend answers.  A query sums over 2^n points, at odd ell
-# each with a staircase Pfaffian of n!! or (n-1)!! products, and the float
-# point tables double in memory with each rank (README, Conventions).
-_MAX_RANK = {"exact": 12, "float": 18}
+# Largest rank each backend answers.  A query sums over 2^n points.  The exact
+# genus-0 query is the slowest, with one field inverse per point: about a
+# minute at n = 15 against 15 s for the counts.  The float point tables double
+# in memory with each rank (README, Conventions).
+_MAX_RANK = {"exact": 15, "float": 18}
 
 
 @lru_cache(maxsize=None)
@@ -254,15 +255,24 @@ def _point_tables(n: int, kind: str):
             f"a query would sum over 2^{n} = {2**n} points"
         )
     backend = make_backend(kind, n)
+    # at a summation point the staircase qtilde value is the sign of the
+    # staircase Schur value times 2^(n/2) (README, Conventions)
+    root = backend.from_fraction(2 ** (n // 2))
+    if n % 2:
+        root = root * backend.sqrt2()
+    signed = {1: root, -1: -root}
+    points = summation_tuples(n + 1)
     if backend.name == "exact":
         # the points are powers of the primitive 4(n+1)-th root, itself a power
         # of the backend's root: the tables build their values in the group ring
         scale = backend.order // (4 * (n + 1))
-        tables = tuple(PointTable(backend, exponents=[d * scale for d in J.doubled])
-                       for J in summation_tuples(n + 1))
+        tables = tuple(PointTable(backend, exponents=[d * scale for d in J.doubled],
+                                  staircase_qtilde=signed[J.staircase_sign])
+                       for J in points)
     else:
-        tables = tuple(PointTable(backend, point_from_tuple(backend, J))
-                       for J in summation_tuples(n + 1))
+        tables = tuple(PointTable(backend, point_from_tuple(backend, J),
+                                  staircase_qtilde=signed[J.staircase_sign])
+                       for J in points)
     return backend, tables
 
 

@@ -9,6 +9,7 @@ stored doubled, so every membership test is integer residue arithmetic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -146,6 +147,32 @@ class IndexTuple:
         if any(doubled[i] >= doubled[i + 1] for i in range(len(doubled) - 1)):
             raise ValueError(f"doubled entries not strictly increasing: {doubled}")
         object.__setattr__(self, "doubled", doubled)
+
+    @property
+    def staircase_sign(self) -> int:
+        """Sign of the staircase Schur value prod_{i<j} (x_i + x_j) at a summation point.
+
+        With x_i = zeta^d_i, zeta a primitive 4N-th root and d the doubled
+        exponents, x_i + x_j = zeta^((d_i + d_j)/2) * 2cos(pi (d_j - d_i)/4N).
+        Under unit product the phases multiply to (-1)^((N-1) sum(d)/4N), so
+        the value is real, and a cosine is negative exactly when d_j - d_i > 2N.
+        Without opposite coordinates the window's N pairs (b, b + 2N) each give
+        one entry, a low pick b or a high pick b + 2N, and d_j - d_i > 2N
+        exactly when d_i is a low pick and d_j the high pick of a later pair.
+        """
+        N, d = self.N, self.doubled
+        turns, rest = divmod(sum(d), 4 * N)
+        if rest:
+            raise ValueError(f"coordinates of {d} do not multiply to 1")
+        two_n = 2 * N
+        if len({x % two_n for x in d}) < N:
+            raise ValueError(f"opposite coordinates in {d}")
+        # the window is [1 - N, 3N - 1]: the high picks are those from N + 1 on,
+        # and the t-th of them (from 0), x, has (x - N - 1)/2 earlier pairs, t high
+        first_high = bisect_left(d, N + 1)
+        highs = N - first_high
+        lows_before = (sum(d[first_high:]) - highs * (N + 1)) // 2 - highs * (highs - 1) // 2
+        return -1 if ((N - 1) * turns + lows_before) % 2 else 1
 
 
 def _window(N: int) -> tuple[int, int, int]:

@@ -51,10 +51,12 @@ class PointTable:
 
     Every value is computed on first use: the elementary values, the complete
     values (grown via the alternating recurrence), and the pairwise, full
-    qtilde and Schur values memoized by partition.
+    qtilde and Schur values memoized by partition.  A caller that knows the
+    qtilde value of the staircase (N-1, ..., 1) in closed form passes it as
+    `staircase_qtilde`; otherwise it is a Pfaffian like any other qtilde value.
     """
 
-    def __init__(self, backend, values=None, exponents=None):
+    def __init__(self, backend, values=None, exponents=None, staircase_qtilde=None):
         if (values is None) == (exponents is None):
             raise TypeError("a point is given by its values or by its exponents, exactly one")
         self.backend = backend
@@ -65,6 +67,7 @@ class PointTable:
         self._pair: dict[tuple[int, int], object] = {}
         self._qtilde: dict[tuple[int, ...], object] = {}
         self._schur: dict[tuple[int, ...], object] = {}
+        self._staircase_qtilde = staircase_qtilde
 
     @property
     def values(self) -> tuple:
@@ -132,7 +135,10 @@ class PointTable:
         return cached
 
     def qtilde(self, partition):
-        """The qtilde value of any partition: a Pfaffian of pairwise values."""
+        """The qtilde value of any partition: a Pfaffian of pairwise values.
+
+        The staircase's value is read from `staircase_qtilde` when it was given.
+        """
         parts = _parts(partition)
         cached = self._qtilde.get(parts)
         if cached is None:
@@ -140,6 +146,8 @@ class PointTable:
         return cached
 
     def _qtilde_uncached(self, parts: tuple[int, ...]):
+        if self._staircase_qtilde is not None and parts == tuple(range(self.size - 1, 0, -1)):
+            return self._staircase_qtilde
         if len(parts) == 0:
             return self.backend.one
         if len(parts) == 1:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from lgquot.cli import CLIParseError, parse_genus_range, parse_partition_list, parse_poly
+from lgquot.cli import CLIParseError, main, parse_genus_range, parse_partition_list, parse_poly
 from lgquot.invariants import SchubertExpression
 
 
@@ -193,6 +193,10 @@ def test_backend_flag():
                      "--backend", backend)
         assert cp.returncode == 0, cp.stderr
         assert cp.stdout.strip().splitlines()[0] == "20"
+    # an odd-ell float count the staircase Pfaffian used to get wrong by 1
+    cp = run_cli("count", "--n", "8", "--genus", "2", "--ell", "1", "--backend", "both")
+    assert cp.returncode == 0, cp.stdout + cp.stderr
+    assert cp.stdout.strip().splitlines()[0] == "285284608"
 
 
 def test_verify_identities_quick():
@@ -226,6 +230,31 @@ def test_verify_oracle_names_its_rank_cap():
     cp = run_cli(*args, "--max-n", "3")
     assert "PASS algebra_axioms (ranks 1..3)\n" in cp.stdout
     assert "asked for" not in cp.stdout
+
+
+VERIFY_ALL = """\
+PASS twist_identity (50/50 cases)
+PASS hecke_recursion (50/50 cases)
+PASS staircase_insertion (50/50 cases)
+PASS product_consistency (50/50 cases)
+PASS algebra_axioms (ranks 1..3)
+PASS euler_invertible (ranks 1..3)
+PASS trace_agreement (50/50 cases)
+PASS trace_vanishing (10/10 cases)
+PASS intersection_backends (25/25 cases)
+PASS gw_backends (25/25 cases)
+PASS count_backends (40/40 cases)
+all checks passed
+"""
+
+
+def test_verify_all_prints_pinned_lines(monkeypatch, tmp_path, capsys):
+    # a fresh cache directory, so the oracle builds its algebras
+    monkeypatch.setenv("LGQ_CACHE_DIR", str(tmp_path))
+    assert main(["verify", "--suite", "all"]) == 0
+    assert capsys.readouterr().out == VERIFY_ALL
+    built = sorted(path.name for path in tmp_path.iterdir())
+    assert built == [f"qh_algebra_n{n}_v1.json" for n in (1, 2, 3)]
 
 
 def test_usage_error_without_subcommand():

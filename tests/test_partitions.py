@@ -96,6 +96,12 @@ def test_index_tuple_validation():
         IndexTuple(3, (0, 2, 10))  # above window
     with pytest.raises(ValueError):
         IndexTuple(3, (1, 2, 4))  # odd N needs even doubled entries
+    # the staircase sign is defined at summation points only
+    assert IndexTuple(2, (-1, 1)).staircase_sign == 1
+    with pytest.raises(ValueError, match="multiply to 1"):
+        IndexTuple(2, (1, 3)).staircase_sign
+    with pytest.raises(ValueError, match="opposite"):
+        IndexTuple(4, (-3, 3, 5, 11)).staircase_sign
 
 
 def test_root_tuples_small():
