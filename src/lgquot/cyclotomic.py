@@ -59,6 +59,32 @@ def euler_phi(m: int) -> int:
     return result
 
 
+def _mobius(m: int) -> int:
+    """The Moebius function of m >= 1."""
+    result, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if m > 1 else result
+
+
+@lru_cache(maxsize=None)
+def _ramanujan_sums(m: int) -> tuple[int, ...]:
+    """The traces Tr(zeta^k) of the power basis, k < phi(m): Ramanujan sums.
+
+    c_m(k) = sum of zeta^(a*k) over the units a modulo m
+    = mu(m/g) * phi(m) / phi(m/g) with g = gcd(k, m) (Washington,
+    Introduction to Cyclotomic Fields, ch. 2).
+    """
+    phi = euler_phi(m)
+    quotients = [m // gcd(k, m) for k in range(phi)]
+    return tuple(_mobius(q) * phi // euler_phi(q) for q in quotients)
+
+
 def _divisors(m: int) -> list[int]:
     small, large = [], []
     d = 1
@@ -174,6 +200,11 @@ class CyclotomicNumber:
         if fr.denominator != 1:
             raise NonIntegerValueError(f"value is not an integer: {fr}", value=self)
         return fr.numerator
+
+    def trace(self) -> Fraction:
+        """The field trace: the sum of the Galois conjugates, a rational number."""
+        sums = _ramanujan_sums(self.order)
+        return Fraction(sum(c * t for c, t in zip(self.num, sums) if c), self.den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

@@ -270,7 +270,12 @@ def _point_tables(n: int, kind: str):
                                   staircase_qtilde=signed[J.staircase_sign])
                        for J in points)
     else:
-        tables = tuple(PointTable(backend, point_from_tuple(backend, J),
+        # the points share 2N coordinates: each root is computed once, as
+        # point_from_tuple computes it
+        order = 4 * (n + 1)
+        doubled = {d for J in points for d in J.doubled}
+        roots = {d: backend.root_of_unity(order, d) for d in doubled}
+        tables = tuple(PointTable(backend, tuple(roots[d] for d in J.doubled),
                                   staircase_qtilde=signed[J.staircase_sign])
                        for J in points)
     return backend, tables

@@ -9,8 +9,16 @@ Once built, every genus-g invariant is a trace:
 
 where [x] is the multiplication operator of x and E is the quantum Euler
 class, the sum over the basis of each class times its complementary-partition
-partner.  This path uses only exact rational linear algebra, so it is an
-independent cross-check of the root-of-unity summation.
+partner.
+
+What the oracle checks independently: the structure constants are summed over
+the orbits of the evaluation points under rotation and Galois maps, through
+field traces, while `gw_invariant` sums all 2^n points one by one.  Both read
+the same point values (staircase Schur and qtilde values), so agreement of a
+trace with the direct formula compares two summation routes over those
+values.  Everything after the constants, the ring axioms, the operators and
+the trace formula, is exact rational linear algebra that shares no code with
+the root-of-unity summation.
 
 Structure constants are cached on disk as versioned JSON; see CACHE_FORMAT.
 """
@@ -24,8 +32,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from .cyclotomic import euler_phi
 from .invariants import _point_tables, gw_invariant
-from .partitions import StrictPartition, as_strict, dual_partition, strict_partitions
+from .partitions import (
+    StrictPartition,
+    as_strict,
+    dual_partition,
+    point_orbits,
+    staircase,
+    strict_partitions,
+    summation_tuples,
+)
 
 __all__ = [
     "SingularEulerError",
@@ -183,7 +200,56 @@ class QHAlgebra:
 
 
 def _structure_constants(n: int) -> dict:
-    """Structure constants from genus-zero three-point invariants."""
+    """Structure constants as genus-zero three-point sums over the point orbits.
+
+    The constant of nu in lam * mu is the genus-0 invariant
+    2^(-n-d) * sum over the points of S^(-1) q_lam q_mu q_nu', with nu' the
+    dual of nu.  Its summand has degree d(n+1), so rotating a point leaves it
+    unchanged and a Galois map conjugates it; the field trace Tr is therefore
+    constant on each orbit of `point_orbits`, and the rational sum is
+    sum over orbits |O| * Tr(summand at the representative) / phi(m).  Every
+    point value is formed once per representative, and the constants are
+    read off together.
+    """
+    backend, tables = _point_tables(n, "exact")
+    index = {J: t for t, J in enumerate(summation_tuples(n + 1))}
+    basis = strict_partitions(n)
+    dual = [basis.index(dual_partition(sp)) for sp in basis]
+    top = staircase(n).parts
+    # (i, j, k, d): basis pairs i <= j, each k, and the map degree d their weights force
+    triples = []
+    for i, lam in enumerate(basis):
+        for j in range(i, len(basis)):
+            for k, nu in enumerate(basis):
+                excess = lam.weight + basis[j].weight - nu.weight
+                if excess >= 0 and excess % (n + 1) == 0:
+                    triples.append((i, j, k, excess // (n + 1)))
+    sums = [Fraction(0)] * len(triples)
+    for rep, size in point_orbits(n + 1):
+        table = tables[index[rep]]
+        inverse = backend.power(table.schur(top), -1)
+        q = [table.qtilde(sp.parts) for sp in basis]
+        pairs: dict = {}
+        for t, (i, j, k, _d) in enumerate(triples):
+            w = pairs.get((i, j))
+            if w is None:
+                w = pairs[(i, j)] = inverse * q[i] * q[j]
+            sums[t] += size * (w * q[dual[k]]).trace()
+    phi = euler_phi(backend.order)
+    constants: dict = {(i, j): [] for i in range(len(basis)) for j in range(i, len(basis))}
+    for (i, j, k, d), total in zip(triples, sums):
+        c = total / (phi * 2 ** (n + d))
+        if c.denominator != 1:
+            raise InconsistentAlgebraError(
+                f"structure constant of {basis[k].parts} in {basis[i].parts} * "
+                f"{basis[j].parts} is not an integer: {c}")
+        if c:
+            constants[(i, j)].append((k, d, int(c)))
+    return {key: tuple(entries) for key, entries in constants.items()}
+
+
+def _structure_constants_by_calls(n: int) -> dict:
+    """Structure constants from one `gw_invariant` call each: the reference build."""
     basis = strict_partitions(n)
     duals = [dual_partition(sp) for sp in basis]
     constants: dict = {}
@@ -204,7 +270,11 @@ def _structure_constants(n: int) -> dict:
 
 
 def _validate(algebra: QHAlgebra) -> None:
-    """Ring axioms checked on every build or load: unit, positivity, associativity."""
+    """Ring axioms checked on every build or load: unit, positivity, associativity.
+
+    The products of basis elements are checked as a sparse integer table
+    {(i, j): {k: c}}, once the constants are known to be nonnegative integers.
+    """
     dim = algebra.dim
     if algebra.basis[0].parts != ():
         raise InconsistentAlgebraError("basis does not start with the unit class")
@@ -212,17 +282,29 @@ def _validate(algebra: QHAlgebra) -> None:
         for _k, d, c in entries:
             if d < 0 or c < 0 or c != int(c):
                 raise InconsistentAlgebraError(f"bad structure constant ({d}, {c})")
-    unit = algebra.basis_vector(algebra.basis[0])
-    vectors = [algebra.basis_vector(sp) for sp in algebra.basis]
-    for k, vec in enumerate(vectors):
-        if algebra.product(unit, vec) != vec:
+    table = {}
+    for i in range(dim):
+        for j in range(dim):
+            row: dict = {}
+            for k, _d, c in algebra.pair_constants(i, j):
+                if c:
+                    row[k] = row.get(k, 0) + int(c)
+            table[(i, j)] = row
+    for k in range(dim):
+        if table[(0, k)] != {k: 1}:
             raise InconsistentAlgebraError(f"unit fails on basis element {k}")
     for i in range(dim):
         for j in range(dim):
-            ij = algebra.product(vectors[i], vectors[j])
+            ij = table[(i, j)]
             for k in range(dim):
-                left = algebra.product(ij, vectors[k])
-                right = algebra.product(vectors[i], algebra.product(vectors[j], vectors[k]))
+                left: dict = {}
+                for mid, c in ij.items():
+                    for out, e in table[(mid, k)].items():
+                        left[out] = left.get(out, 0) + c * e
+                right: dict = {}
+                for mid, c in table[(j, k)].items():
+                    for out, e in table[(i, mid)].items():
+                        right[out] = right.get(out, 0) + c * e
                 if left != right:
                     raise InconsistentAlgebraError(
                         f"associativity fails on basis triple ({i}, {j}, {k})"

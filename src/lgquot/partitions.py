@@ -13,6 +13,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from math import gcd
 
 __all__ = [
     "Partition",
@@ -26,6 +27,7 @@ __all__ = [
     "filter_no_opposites",
     "filter_unit_product",
     "summation_tuples",
+    "point_orbits",
 ]
 
 
@@ -243,3 +245,32 @@ def summation_tuples(N: int) -> tuple[IndexTuple, ...]:
         tuple(sorted(pick)) for pick in product(*pairs) if sum(pick) % (4 * N) == 0
     )
     return tuple(IndexTuple(N, pick) for pick in picks)
+
+
+@lru_cache(maxsize=None)
+def point_orbits(N: int) -> tuple[tuple[IndexTuple, int], ...]:
+    """Orbits of the summation points: (representative, orbit size) pairs.
+
+    Two maps of doubled exponents modulo 4N keep the points admissible:
+    rotation d -> d + 4, which multiplies every coordinate by a primitive N-th
+    root, and the Galois maps d -> a*d for the units a modulo 4N.  Together
+    they generate the maps d -> a*d + 4s, so an orbit is the set of those
+    images of one point, each read back into the window.  The representative
+    of an orbit is its first point in `summation_tuples(N)` order.
+    """
+    m = 4 * N
+    lo, _hi, _parity = _window(N)
+    units = [a for a in range(1, m) if gcd(a, m) == 1]
+    seen: set[tuple[int, ...]] = set()
+    orbits = []
+    for J in summation_tuples(N):
+        if J.doubled in seen:
+            continue
+        orbit = set()
+        for a in units:
+            scaled = [a * d for d in J.doubled]
+            for shift in range(0, m, 4):
+                orbit.add(tuple(sorted((d + shift - lo) % m + lo for d in scaled)))
+        seen |= orbit
+        orbits.append((J, len(orbit)))
+    return tuple(orbits)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -221,3 +222,16 @@ def test_make_backend():
 def test_mixed_order_arithmetic_rejected():
     with pytest.raises(ValueError):
         root_of_unity(8, 1) + root_of_unity(12, 1)
+
+
+@pytest.mark.parametrize("m", [9, 15, 40, 56, 72])
+def test_trace_is_sum_of_galois_conjugates(m):
+    rng = random.Random(m)
+    for _ in range(5):
+        x = CyclotomicNumber(m, [rng.randint(-9, 9) for _ in range(m)], rng.randint(1, 7))
+        conjugates = CyclotomicNumber(m, [])
+        for a in range(1, m):
+            if gcd(a, m) == 1:
+                conjugates = conjugates + x._conjugate(a)
+        assert x.trace() == conjugates.as_fraction()
+    assert CyclotomicNumber(m, [1]).trace() == euler_phi(m)

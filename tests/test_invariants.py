@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
+from lgquot.cyclotomic import euler_phi
 from lgquot.invariants import (
     NonHomogeneousError,
     ParityError,
     SchubertExpression,
+    _point_sum,
     _point_tables,
     expected_dimension,
     gw_invariant,
@@ -18,7 +21,13 @@ from lgquot.invariants import (
     verify_staircase_insertion,
     verify_twist_identity,
 )
-from lgquot.partitions import StrictPartition, staircase
+from lgquot.partitions import (
+    StrictPartition,
+    point_orbits,
+    staircase,
+    strict_partitions,
+    summation_tuples,
+)
 
 ONE = SchubertExpression.one()
 
@@ -231,6 +240,57 @@ def test_point_from_tuple_matches_complex_coordinates():
         for value, doubled in zip(point, J.doubled):
             expected = cmath.exp(1j * cmath.pi * doubled / 6)
             assert abs(value.to_complex() - expected) < 1e-12
+
+
+def _orbit_sum(n, g, exponent, qtildes):
+    """`_point_sum`'s value as sum over orbits |O| * Tr(summand at the representative) / phi."""
+    backend, tables = _point_tables(n, "exact")
+    index = {J: t for t, J in enumerate(summation_tuples(n + 1))}
+    total = Fraction(0)
+    for rep, size in point_orbits(n + 1):
+        table = tables[index[rep]]
+        term = backend.power(table.schur(staircase(n).parts), g - 1)
+        for parts in qtildes:
+            term = term * table.qtilde(parts)
+        total += size * term.trace()
+    return total / euler_phi(backend.order) * Fraction(2) ** exponent
+
+
+def test_orbit_trace_sum_matches_point_sum():
+    checks = 0
+    for n in range(1, 7):
+        for g in range(5):
+            for ell in range(3):
+                if n * (ell - g + 1) % 2:
+                    continue
+                odd = ell % 2
+                qtildes = [staircase(n).parts] if odd else []
+                exponent = n * (g - 1 - odd) // 2
+                assert _orbit_sum(n, g, exponent, qtildes) == _point_sum(
+                    n, g, "exact", exponent, qtildes)
+                checks += 1
+    for n in range(1, 5):
+        basis = strict_partitions(n)
+        for g in range(3):
+            for size in (1, 2, 3):
+                for insertions in combinations_with_replacement(basis, size):
+                    d = required_degree(n, g, insertions)
+                    if d is None:
+                        continue
+                    qtildes = [lam.parts for lam in insertions]
+                    assert _orbit_sum(n, g, n * (g - 1) - d, qtildes) == _point_sum(
+                        n, g, "exact", n * (g - 1) - d, qtildes)
+                    checks += 1
+    assert checks == 807
+
+
+def test_float_tables_match_point_from_tuple():
+    from lgquot.invariants import point_from_tuple
+
+    for n in range(1, 10):
+        backend, tables = _point_tables(n, "float")
+        for J, table in zip(summation_tuples(n + 1), tables):
+            assert table.values == point_from_tuple(backend, J)
 
 
 def test_staircase_qtilde_squares_to_two_power():

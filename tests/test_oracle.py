@@ -13,6 +13,9 @@ from lgquot.oracle import (
     QHAlgebra,
     SingularEulerError,
     _cache_path,
+    _structure_constants,
+    _structure_constants_by_calls,
+    _validate,
     build_qh_algebra,
     charpoly,
     eigenvalue_check,
@@ -252,7 +255,8 @@ def test_projective_degree_against_classical_pieri(n, degree):
 
 
 def test_rank_four_oracle_spot_checks():
-    # beyond the required grid: one build exercises 2176 genus-zero invariants
+    # beyond the required grid: the rank-4 build sums 413 genus-zero invariants
+    # over 3 point orbits
     a4 = build_qh_algebra(4)
     for g, ins in [(2, [(4, 3, 2, 1)]), (3, [(4, 2), (3, 1)]), (1, [(2, 1), (3, 2)])]:
         d = required_degree(4, g, ins)
@@ -322,7 +326,22 @@ def test_validation_rejects_broken_constants():
     basis = tuple(strict_partitions(1))
     broken = QHAlgebra(1, basis, {(0, 0): ((0, 0, 1),), (0, 1): ((1, 0, 1),),
                                   (1, 1): ((0, 1, -2),)})
-    from lgquot.oracle import _validate
-
     with pytest.raises(InconsistentAlgebraError):
         _validate(broken)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orbit_constants_match_per_call_build(n):
+    assert _structure_constants(n) == _structure_constants_by_calls(n)
+
+
+def test_validation_rejects_raised_constant(algebras):
+    # raising any one constant of the rank-3 algebra by 1 breaks an axiom
+    a3 = algebras[3]
+    for (i, j), entries in a3.constants.items():
+        for position, (k, d, c) in enumerate(entries):
+            raised = entries[:position] + ((k, d, c + 1),) + entries[position + 1:]
+            broken = QHAlgebra(3, a3.basis, {**a3.constants, (i, j): raised})
+            with pytest.raises(InconsistentAlgebraError,
+                               match="unit" if i == 0 else "associativity"):
+                _validate(broken)

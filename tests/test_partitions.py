@@ -1,6 +1,6 @@
 import cmath
 from itertools import combinations
-from math import comb, isclose, pi
+from math import comb, gcd, isclose, pi
 
 import pytest
 
@@ -11,6 +11,7 @@ from lgquot.partitions import (
     dual_partition,
     filter_no_opposites,
     filter_unit_product,
+    point_orbits,
     root_tuples,
     staircase,
     strict_partitions,
@@ -163,3 +164,29 @@ def test_filter_conditions_against_complex_arithmetic():
                 product.imag, 0, abs_tol=1e-9
             )
             assert (t in kept) == (no_opposites and unit)
+
+
+def test_point_orbits_partition_the_points():
+    # each orbit, regenerated as sets of residues mod 4N, lies among the points;
+    # the orbits are disjoint and cover every point
+    for n in range(1, 9):
+        N, m = n + 1, 4 * (n + 1)
+        points = {frozenset(d % m for d in J.doubled) for J in summation_tuples(N)}
+        covered = set()
+        for rep, size in point_orbits(N):
+            orbit = {
+                frozenset((a * d + shift) % m for d in rep.doubled)
+                for a in range(1, m) if gcd(a, m) == 1
+                for shift in range(0, m, 4)
+            }
+            assert len(orbit) == size
+            assert orbit <= points
+            assert not orbit & covered
+            covered |= orbit
+        assert covered == points
+        assert sum(size for _rep, size in point_orbits(N)) == 2**n
+
+
+@pytest.mark.parametrize("n,orbits", [(4, 3), (8, 11), (10, 15), (12, 37)])
+def test_point_orbit_counts(n, orbits):
+    assert len(point_orbits(n + 1)) == orbits
