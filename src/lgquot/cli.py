@@ -29,6 +29,7 @@ from .invariants import (
     gw_invariant,
     intersection_number,
     maximal_count,
+    maximal_subbundle_degree,
 )
 from .oracle import SingularEulerError
 from .verify import SUITE_NAMES, run_suites
@@ -245,40 +246,22 @@ class QueryResult:
         return out
 
 
-_ERROR_EXITS = {
-    "PARITY": 2,
-    "USAGE": 2,
-    "PARSE": 2,
-    "NONHOMOGENEOUS": 2,
-    "NONINTEGER": 3,
-    "NONVANISHING": 3,
-    "SINGULAR_EULER": 3,
-    "BACKEND_MISMATCH": 3,
-}
-
-
 class BackendMismatchError(ArithmeticError):
     pass
 
 
-def _classify(exc: Exception) -> tuple[str, str]:
-    if isinstance(exc, CLIParseError):
-        return "PARSE", str(exc)
-    if isinstance(exc, ParityError):
-        return "PARITY", str(exc)
-    if isinstance(exc, NonHomogeneousError):
-        return "NONHOMOGENEOUS", str(exc)
-    if isinstance(exc, NonIntegerValueError):
-        return "NONINTEGER", str(exc)
-    if isinstance(exc, NonvanishingAssumptionError):
-        return "NONVANISHING", str(exc)
-    if isinstance(exc, SingularEulerError):
-        return "SINGULAR_EULER", str(exc)
-    if isinstance(exc, BackendMismatchError):
-        return "BACKEND_MISMATCH", str(exc)
-    if isinstance(exc, (ValueError, TypeError)):
-        return "USAGE", str(exc)
-    raise exc
+# (exception kind, error code, exit status), tried in order: the first kind the
+# exception is an instance of wins, so subclasses precede (ValueError, TypeError).
+_ERRORS = (
+    (CLIParseError, "PARSE", 2),
+    (ParityError, "PARITY", 2),
+    (NonHomogeneousError, "NONHOMOGENEOUS", 2),
+    (NonIntegerValueError, "NONINTEGER", 3),
+    (NonvanishingAssumptionError, "NONVANISHING", 3),
+    (SingularEulerError, "SINGULAR_EULER", 3),
+    (BackendMismatchError, "BACKEND_MISMATCH", 3),
+    ((ValueError, TypeError), "USAGE", 2),
+)
 
 
 def _compute_with_backend(compute, backend: str) -> int:
@@ -297,34 +280,38 @@ def _compute_with_backend(compute, backend: str) -> int:
 def _emit(result: QueryResult, fmt: str, text_lines) -> None:
     if fmt == "json":
         print(json.dumps(result.to_dict()))
+    elif result.error is not None:
+        print(f"error {result.error}: {result.message}")
     else:
         for line in text_lines(result):
             print(line)
 
 
 def _value_lines(result: QueryResult) -> list[str]:
-    if result.error is None:
-        return [result.value]
-    return [f"error {result.error}: {result.message}"]
+    return [result.value]
 
 
 def _run_query(params: dict, backend: str, fmt: str, compute, text_lines=_value_lines) -> int:
     """Time `compute(result)`, print its value or classified error, return the exit code."""
     result = QueryResult(params, backend=backend)
+    status = 0
     start = time.perf_counter()
     try:
         value = compute(result)
         if value is not None:
             result.value = str(value)
-    except Exception as exc:  # classified below; unknown kinds re-raise
-        result.error, result.message = _classify(exc)
+    except Exception as exc:  # classified by _ERRORS; unknown kinds re-raise
+        for kind, code, status in _ERRORS:
+            if isinstance(exc, kind):
+                result.error, result.message = code, str(exc)
+                break
+        else:
+            raise
     result.elapsed_ms = (time.perf_counter() - start) * 1000.0
     _emit(result, fmt, text_lines)
-    if result.error is not None:
-        return _ERROR_EXITS.get(result.error, 2)
-    if result.checks and not all(c["passed"] for c in result.checks):
+    if status == 0 and result.checks and not all(c["passed"] for c in result.checks):
         return 4
-    return 0
+    return status
 
 
 # -- subcommands ---------------------------------------------------------------------
@@ -351,13 +338,13 @@ def cmd_count(args) -> int:
         value = _compute_with_backend(
             lambda kind: maximal_count(args.n, args.genus, args.ell, kind), args.backend
         )
-        result.params["e"] = args.n * (args.ell - args.genus + 1) // 2
+        result.params["e"] = maximal_subbundle_degree(args.n, args.genus, args.ell)
         result.note = GENUS_NOTE if args.genus <= 1 else None
         return value
 
     return _run_query(
         params, args.backend, args.format, compute,
-        lambda r: [r.value, f"e = {r.params['e']}"] if r.error is None else _value_lines(r),
+        lambda r: [r.value, f"e = {r.params['e']}"],
     )
 
 
@@ -391,12 +378,11 @@ def cmd_table(args) -> int:
                 lambda kind: maximal_count(args.n, g, args.ell, kind), args.backend
             )
             rows.append({"n": args.n, "g": g, "ell": args.ell,
-                         "e": args.n * (args.ell - g + 1) // 2, "value": str(value)})
+                         "e": maximal_subbundle_degree(args.n, g, args.ell),
+                         "value": str(value)})
         result.rows = rows
 
     def lines(r):
-        if r.error is not None:
-            return _value_lines(r)
         return ["n,g,ell,e,value"] + [
             f"{row['n']},{row['g']},{row['ell']},{row['e']},{row['value']}" for row in r.rows
         ]
@@ -416,8 +402,6 @@ def cmd_verify(args) -> int:
         ]
 
     def lines(r):
-        if r.error is not None:
-            return _value_lines(r)
         out = [
             f"{'PASS' if c['passed'] else 'FAIL'} {c['name']} ({c['detail']})"
             for c in r.checks

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, lcm, sqrt
+from math import gcd, lcm, prod, sqrt
 
 __all__ = [
     "NonIntegerValueError",
@@ -43,33 +43,30 @@ class NonvanishingAssumptionError(ZeroDivisionError):
     """A quantity the formulas assume to be nonzero turned out to vanish."""
 
 
+def _factorize(m: int) -> dict[int, int]:
+    """The prime factorization of m >= 1 as {prime: exponent}."""
+    factors, p = {}, 2
+    while p * p <= m:
+        while m % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            m //= p
+        p += 1 if p == 2 else 2
+    if m > 1:
+        factors[m] = 1
+    return factors
+
+
 def euler_phi(m: int) -> int:
     """Euler's totient of m."""
     if m < 1:
         raise ValueError(f"order must be positive, got {m}")
-    result, rest, p = m, m, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            while rest % p == 0:
-                rest //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if rest > 1:
-        result -= result // rest
-    return result
+    return prod(p ** (e - 1) * (p - 1) for p, e in _factorize(m).items())
 
 
 def _mobius(m: int) -> int:
     """The Moebius function of m >= 1."""
-    result, p = 1, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-        p += 1
-    return -result if m > 1 else result
+    exponents = _factorize(m).values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
 
 
 @lru_cache(maxsize=None)
@@ -85,46 +82,32 @@ def _ramanujan_sums(m: int) -> tuple[int, ...]:
     return tuple(_mobius(q) * phi // euler_phi(q) for q in quotients)
 
 
-def _divisors(m: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Divide integer polynomials (ascending coefficients) with zero remainder; den monic."""
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            out[i - dd] = c
-            for j, dj in enumerate(den):
-                num[i - dd + j] -= c * dj
-    if any(num[:dd]):
-        raise ArithmeticError("polynomial division left a remainder")
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """The m-th cyclotomic polynomial as ascending integer coefficients (monic).
 
-    Computed by dividing x^m - 1 by the cyclotomic polynomials of all proper
-    divisors of m.
+    Phi_m(x) is the product of (x^d - 1)^mu(m/d) over the divisors d of m
+    (Washington, Introduction to Cyclotomic Fields, ch. 2).  The factors with
+    mu(m/d) = 1 are multiplied in first; each factor with mu(m/d) = -1 is then
+    divided out exactly, as a running sum with stride d.
     """
     if m < 1:
         raise ValueError(f"order must be positive, got {m}")
-    poly = [-1] + [0] * (m - 1) + [1]
-    for d in _divisors(m)[:-1]:
-        poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
+    factors = [(m, 1)]  # (d, mu(m/d)) for the divisors d with m/d square-free
+    for p in _factorize(m):
+        factors += [(d // p, -mu) for d, mu in factors]
+    poly = [1]
+    for d, mu in factors:
+        if mu == 1:
+            poly = [b - a for a, b in zip(poly + [0] * d, [0] * d + poly)]
+    for d, mu in factors:
+        if mu == -1:
+            quotient = [-c for c in poly]
+            for i in range(d, len(quotient)):
+                quotient[i] += quotient[i - d]
+            if any(quotient[len(quotient) - d:]):
+                raise ArithmeticError("polynomial division left a remainder")
+            poly = quotient[:len(quotient) - d]
     return tuple(poly)
 
 

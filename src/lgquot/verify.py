@@ -25,9 +25,9 @@ __all__ = ["CheckOutcome", "identity_suite", "oracle_suite", "backend_suite", "r
 
 SUITE_NAMES = ("identities", "oracle", "backends")
 
-# The oracle suite builds the algebras of ranks up to this one only: an
-# uncached rank-4 build alone takes seconds.
-ORACLE_MAX_N = 3
+# The oracle suite builds the algebras of ranks up to this one only: uncached,
+# rank 5 takes about 0.6 s in-process and rank 6 about 8 s.
+ORACLE_MAX_N = 5
 
 
 @dataclass(frozen=True)
@@ -80,48 +80,42 @@ def _sample_insertions(rng: random.Random, max_n: int, max_genus: int,
             return n, g, insertions, d
 
 
+def _tally(name: str, seed: int, cases: int, trial) -> CheckOutcome:
+    """Run `trial(rng)` `cases` times on one seeded generator; pass if every run holds."""
+    rng = random.Random(seed)
+    good = sum(bool(trial(rng)) for _ in range(cases))
+    return CheckOutcome(name, good == cases, f"{good}/{cases} cases")
+
+
 def identity_suite(max_n: int = 3, max_genus: int = 4, seed: int = 0,
                    cases: int = 50) -> list[CheckOutcome]:
     """Twist invariance, Hecke recursion, staircase insertion, product consistency."""
-    outcomes = []
 
-    rng = random.Random(seed)
-    good = sum(
-        verify_twist_identity(*_sample_quot_parameters(rng, max_n, max_genus),
-                              ell_hat=rng.randint(-2, 2))
-        for _ in range(cases)
-    )
-    outcomes.append(CheckOutcome("twist_identity", good == cases, f"{good}/{cases} cases"))
+    def twist(rng):
+        return verify_twist_identity(*_sample_quot_parameters(rng, max_n, max_genus),
+                                     ell_hat=rng.randint(-2, 2))
 
-    rng = random.Random(seed + 1)
-    good = sum(
-        verify_hecke_recursion(*_sample_quot_parameters(rng, max_n, max_genus),
-                               k=rng.randint(0, 2))
-        for _ in range(cases)
-    )
-    outcomes.append(CheckOutcome("hecke_recursion", good == cases, f"{good}/{cases} cases"))
+    def hecke(rng):
+        return verify_hecke_recursion(*_sample_quot_parameters(rng, max_n, max_genus),
+                                      k=rng.randint(0, 2))
 
-    rng = random.Random(seed + 2)
-    good = 0
-    for _ in range(cases):
+    def staircase_insertion(rng):
         n, g, insertions, d = _sample_insertions(rng, max_n, max_genus, require_degree=True)
-        good += verify_staircase_insertion(n, g, d, insertions, k=rng.randint(0, 2))
-    outcomes.append(
-        CheckOutcome("staircase_insertion", good == cases, f"{good}/{cases} cases")
-    )
+        return verify_staircase_insertion(n, g, d, insertions, k=rng.randint(0, 2))
 
-    rng = random.Random(seed + 3)
-    good = 0
-    for _ in range(cases):
+    def product_consistency(rng):
         n, g, insertions, d = _sample_insertions(rng, max_n, max_genus, require_degree=True)
         P = SchubertExpression.one()
         for parts in insertions:
             P = P * SchubertExpression.qtilde_factor(parts)
-        good += intersection_number(n, g, 0, -d, P) == gw_invariant(n, g, d, insertions)
-    outcomes.append(
-        CheckOutcome("product_consistency", good == cases, f"{good}/{cases} cases")
-    )
-    return outcomes
+        return intersection_number(n, g, 0, -d, P) == gw_invariant(n, g, d, insertions)
+
+    return [
+        _tally("twist_identity", seed, cases, twist),
+        _tally("hecke_recursion", seed + 1, cases, hecke),
+        _tally("staircase_insertion", seed + 2, cases, staircase_insertion),
+        _tally("product_consistency", seed + 3, cases, product_consistency),
+    ]
 
 
 def oracle_suite(max_n: int = 3, seed: int = 0, cases: int = 50) -> list[CheckOutcome]:
@@ -151,63 +145,47 @@ def oracle_suite(max_n: int = 3, seed: int = 0, cases: int = 50) -> list[CheckOu
             invertible = False
     outcomes.append(CheckOutcome("euler_invertible", invertible, ranks))
 
-    rng = random.Random(seed)
-    good = 0
-    for _ in range(cases):
+    def agreement(rng):
         n = rng.randint(1, max_n)
         g = rng.randint(1, 3)
-        insertions = []
         while True:
             insertions = [random_strict(rng, n) for _ in range(rng.randint(0, 4))]
             d = required_degree(n, g, insertions)
             if d is not None:
-                break
-        direct = gw_invariant(n, g, d, insertions)
-        traced = trace_invariant(algebras[n], g, insertions)
-        good += traced == direct
-    outcomes.append(CheckOutcome("trace_agreement", good == cases, f"{good}/{cases} cases"))
+                return gw_invariant(n, g, d, insertions) == trace_invariant(
+                    algebras[n], g, insertions)
 
-    rng = random.Random(seed + 1)
-    good = 0
-    vanish_cases = max(10, cases // 5)
-    for _ in range(vanish_cases):
+    def vanishing(rng):
         while True:
             n = rng.randint(1, max_n)
             g = rng.randint(0, 3)
             insertions = [random_strict(rng, n) for _ in range(rng.randint(0, 4))]
             if required_degree(n, g, insertions) is None:
-                break
-        good += trace_invariant(algebras[n], g, insertions) == 0
-    outcomes.append(
-        CheckOutcome("trace_vanishing", good == vanish_cases, f"{good}/{vanish_cases} cases")
-    )
+                return trace_invariant(algebras[n], g, insertions) == 0
+
+    outcomes.append(_tally("trace_agreement", seed, cases, agreement))
+    outcomes.append(_tally("trace_vanishing", seed + 1, max(10, cases // 5), vanishing))
     return outcomes
 
 
 def backend_suite(max_n: int = 3, max_genus: int = 4, seed: int = 0,
                   cases: int = 40) -> list[CheckOutcome]:
     """Exact and floating backends agree on counts, invariants, and intersections."""
-    outcomes = []
-    rng = random.Random(seed)
 
-    good = 0
-    for _ in range(cases):
+    def intersections(rng):
         n, g, ell, e, P = _sample_quot_parameters(rng, max_n, max_genus, degree_cap=6)
-        good += intersection_number(n, g, ell, e, P, "exact") == intersection_number(
-            n, g, ell, e, P, "float"
-        )
-    outcomes.append(CheckOutcome("intersection_backends", good == cases, f"{good}/{cases} cases"))
+        return intersection_number(n, g, ell, e, P, "exact") == intersection_number(
+            n, g, ell, e, P, "float")
 
-    rng = random.Random(seed + 1)
-    good = 0
-    for _ in range(cases):
+    def invariants(rng):
         n, g, insertions, d = _sample_insertions(rng, max_n, max_genus, require_degree=True)
-        good += gw_invariant(n, g, d, insertions, "exact") == gw_invariant(
-            n, g, d, insertions, "float"
-        )
-    outcomes.append(CheckOutcome("gw_backends", good == cases, f"{good}/{cases} cases"))
+        return gw_invariant(n, g, d, insertions, "exact") == gw_invariant(
+            n, g, d, insertions, "float")
 
-    rng = random.Random(seed + 2)
+    outcomes = [
+        _tally("intersection_backends", seed, cases, intersections),
+        _tally("gw_backends", seed + 1, cases, invariants),
+    ]
     good = total = 0
     for n in range(1, max_n + 1):
         for g in range(0, max_genus + 1):

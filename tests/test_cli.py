@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from lgquot import cli
 from lgquot.cli import CLIParseError, main, parse_genus_range, parse_partition_list, parse_poly
-from lgquot.invariants import SchubertExpression
+from lgquot.cyclotomic import NonIntegerValueError, NonvanishingAssumptionError
+from lgquot.invariants import NonHomogeneousError, ParityError, SchubertExpression
+from lgquot.oracle import SingularEulerError
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -218,12 +221,12 @@ def test_verify_seed_reproducible():
 
 def test_verify_oracle_names_its_rank_cap():
     args = ("verify", "--suite", "oracle", "--seed", "2", "--cases", "4")
-    cp = run_cli(*args, "--max-n", "5")
+    cp = run_cli(*args, "--max-n", "6")
     assert cp.returncode == 0, cp.stdout + cp.stderr
-    note = "ranks 1..3; asked for 1..5, the oracle stops at 3"
+    note = "ranks 1..5; asked for 1..6, the oracle stops at 5"
     assert f"PASS algebra_axioms ({note})" in cp.stdout
     assert f"PASS euler_invertible ({note})" in cp.stdout
-    payload = json.loads(run_cli(*args, "--max-n", "5", "--format", "json").stdout)
+    payload = json.loads(run_cli(*args, "--max-n", "6", "--format", "json").stdout)
     details = {c["name"]: c["detail"] for c in payload["checks"]}
     assert details["algebra_axioms"] == details["euler_invertible"] == note
     # within the cap the detail names the ranks only
@@ -255,6 +258,37 @@ def test_verify_all_prints_pinned_lines(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().out == VERIFY_ALL
     built = sorted(path.name for path in tmp_path.iterdir())
     assert built == [f"qh_algebra_n{n}_v1.json" for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("exc, code, status", [
+    (CLIParseError("expected an integer", 3), "PARSE", 2),
+    (ParityError("n(ell - g + 1) is odd"), "PARITY", 2),
+    (NonHomogeneousError("expression mixes degrees"), "NONHOMOGENEOUS", 2),
+    (ValueError("rank must be positive"), "USAGE", 2),
+    (TypeError("unsupported operand"), "USAGE", 2),
+    (NonIntegerValueError("value is not an integer"), "NONINTEGER", 3),
+    (NonvanishingAssumptionError("inverting zero"), "NONVANISHING", 3),
+    (SingularEulerError("Euler operator not invertible"), "SINGULAR_EULER", 3),
+    (cli.BackendMismatchError("backends disagree"), "BACKEND_MISMATCH", 3),
+])
+def test_run_query_reports_each_error_code(exc, code, status, capsys):
+    def compute(result):
+        raise exc
+
+    assert cli._run_query({"command": "gw"}, "exact", "text", compute) == status
+    assert capsys.readouterr().out == f"error {code}: {exc}\n"
+    assert cli._run_query({"command": "gw"}, "exact", "json", compute) == status
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["error"], payload["message"]) == (code, str(exc))
+    assert "value" not in payload
+
+
+def test_run_query_reraises_unclassified_errors():
+    def compute(result):
+        raise KeyError("n")
+
+    with pytest.raises(KeyError):
+        cli._run_query({"command": "gw"}, "exact", "text", compute)
 
 
 def test_usage_error_without_subcommand():

@@ -10,6 +10,7 @@ from lgquot.cyclotomic import (
     FloatBackend,
     NonIntegerValueError,
     NonvanishingAssumptionError,
+    _mobius,
     cyclotomic_polynomial,
     euler_phi,
     make_backend,
@@ -51,13 +52,21 @@ def test_euler_phi():
     ]
 
 
+def test_euler_phi_and_mobius_match_brute_force():
+    for m in range(1, 301):
+        assert euler_phi(m) == sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
+        primes = [p for p in range(2, m + 1) if m % p == 0 and all(p % q for q in range(2, p))]
+        square_free = all(m % (p * p) for p in primes)
+        assert _mobius(m) == ((-1) ** len(primes) if square_free else 0)
+
+
 def test_cyclotomic_polynomial_known_values():
     for m, coeffs in KNOWN_PHI.items():
         assert cyclotomic_polynomial(m) == coeffs
 
 
 def test_cyclotomic_polynomial_degree_and_divisibility():
-    for m in (1, 2, 5, 8, 9, 12, 15, 16, 20, 24, 30, 40):
+    for m in range(1, 121):
         phi = cyclotomic_polynomial(m)
         assert len(phi) - 1 == euler_phi(m)
         # the product of Phi_d over all divisors d of m rebuilds x^m - 1

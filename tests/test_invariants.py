@@ -318,6 +318,41 @@ def test_staircase_qtilde_squares_to_two_power():
             assert backend.to_complex(s).real * J.staircase_sign > 0
 
 
+def _relations_hold(table, n):
+    """qtilde_pair(i, i) = 0 for i = 1..n: the relations of the rank-n presentation."""
+    return all(table.qtilde_pair(i, i).is_zero() for i in range(1, n + 1))
+
+
+def test_summation_points_satisfy_the_presentation_relations():
+    # at q = 1 the quantum parameter is E_{n+1}, the product of the coordinates;
+    # qtilde_pair(n+1, n+1) is a control that the relations do not force to vanish
+    for n in range(1, 8):
+        _backend, tables = _point_tables(n, "exact")
+        for table in tables:
+            assert table.e(n + 1) == 1
+            assert _relations_hold(table, n)
+            assert not table.qtilde_pair(n + 1, n + 1).is_zero()
+
+
+def test_presentation_relations_pick_out_the_summation_points():
+    # independently of how summation_tuples builds them: over the whole window,
+    # the relations hold exactly at the tuples without opposite coordinates, and
+    # E_{n+1} = 1 then leaves exactly the summation points, in order
+    from lgquot.cyclotomic import make_backend
+    from lgquot.invariants import point_from_tuple
+    from lgquot.partitions import filter_no_opposites, root_tuples
+    from lgquot.symfunc import PointTable
+
+    for n in range(1, 5):
+        backend = make_backend("exact", n)
+        tuples = root_tuples(n + 1)
+        tables = [PointTable(backend, point_from_tuple(backend, J)) for J in tuples]
+        related = [J for J, t in zip(tuples, tables) if _relations_hold(t, n)]
+        assert related == filter_no_opposites(tuples)
+        assert [J for J, t in zip(tuples, tables)
+                if _relations_hold(t, n) and t.e(n + 1) == 1] == list(summation_tuples(n + 1))
+
+
 def test_schubert_expression_algebra():
     a1 = SchubertExpression.special(1)
     a2 = SchubertExpression.special(2)
