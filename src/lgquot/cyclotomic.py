@@ -71,14 +71,15 @@ def _mobius(m: int) -> int:
 
 @lru_cache(maxsize=None)
 def _ramanujan_sums(m: int) -> tuple[int, ...]:
-    """The traces Tr(zeta^k) of the power basis, k < phi(m): Ramanujan sums.
+    """The traces Tr(zeta^k) for every residue k < m: Ramanujan sums.
 
     c_m(k) = sum of zeta^(a*k) over the units a modulo m
     = mu(m/g) * phi(m) / phi(m/g) with g = gcd(k, m) (Washington,
-    Introduction to Cyclotomic Fields, ch. 2).
+    Introduction to Cyclotomic Fields, ch. 2).  The first phi(m) entries are
+    the traces of the power basis; the rest serve unreduced exponents.
     """
     phi = euler_phi(m)
-    quotients = [m // gcd(k, m) for k in range(phi)]
+    quotients = [m // gcd(k, m) for k in range(m)]
     return tuple(_mobius(q) * phi // euler_phi(q) for q in quotients)
 
 

@@ -16,9 +16,10 @@ the orbits of the evaluation points under rotation and Galois maps, through
 field traces, while `gw_invariant` sums all 2^n points one by one.  Both read
 the same point values (staircase Schur and qtilde values), so agreement of a
 trace with the direct formula compares two summation routes over those
-values.  Everything after the constants, the ring axioms, the operators and
-the trace formula, is exact rational linear algebra that shares no code with
-the root-of-unity summation.
+values.  Everything after the constants shares no code with the
+root-of-unity summation: the ring axioms are checked in integers, on packed
+rows of the product table, and the operators and traces are exact rational
+linear algebra.
 
 Structure constants are cached on disk as versioned JSON; see CACHE_FORMAT.
 """
@@ -30,10 +31,11 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
-from .cyclotomic import euler_phi
-from .invariants import _point_tables, gw_invariant
+from .cyclotomic import _ramanujan_sums, euler_phi
+from .invariants import _point_tables
 from .partitions import (
     StrictPartition,
     as_strict,
@@ -59,6 +61,9 @@ __all__ = [
 
 CACHE_FORMAT_VERSION = 1
 
+# builds above this rank are refused: rank 7 builds uncached in about 12 s, rank 8 takes minutes
+_MAX_RANK = 7
+
 # CACHE_FORMAT: one JSON object per rank n, file qh_algebra_n{n}_v{version}.json:
 #   {"format_version": 1, "n": 2,
 #    "basis": [[], [1], [2], [2, 1]],
@@ -82,7 +87,6 @@ def mat_identity(size: int) -> list[list[Fraction]]:
 
 
 def mat_mul(a, b) -> list[list[Fraction]]:
-    size = len(a)
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
@@ -209,7 +213,10 @@ def _structure_constants(n: int) -> dict:
     constant on each orbit of `point_orbits`, and the rational sum is
     sum over orbits |O| * Tr(summand at the representative) / phi(m).  Every
     point value is formed once per representative, and the constants are
-    read off together.
+    read off together: with u_i = S^(-1) q_i, Tr(u_i q_j v) is the dot
+    product of (u_i q_j).num with the trace vector t of v, t_a =
+    sum_b v_b c_m(a + b), since Tr(zeta^e) is the Ramanujan sum c_m(e) for
+    every exponent e, reduced or not.
     """
     backend, tables = _point_tables(n, "exact")
     index = {J: t for t, J in enumerate(summation_tuples(n + 1))}
@@ -217,25 +224,31 @@ def _structure_constants(n: int) -> dict:
     dual = [basis.index(dual_partition(sp)) for sp in basis]
     top = staircase(n).parts
     # (i, j, k, d): basis pairs i <= j, each k, and the map degree d their weights force
-    triples = []
-    for i, lam in enumerate(basis):
+    triples, weights = [], [sp.weight for sp in basis]
+    for i, wi in enumerate(weights):
         for j in range(i, len(basis)):
-            for k, nu in enumerate(basis):
-                excess = lam.weight + basis[j].weight - nu.weight
+            for k, wk in enumerate(weights):
+                excess = wi + weights[j] - wk
                 if excess >= 0 and excess % (n + 1) == 0:
                     triples.append((i, j, k, excess // (n + 1)))
+    m = backend.order
+    ramanujan = _ramanujan_sums(m) * 2  # two periods: a + b below never wraps
     sums = [Fraction(0)] * len(triples)
     for rep, size in point_orbits(n + 1):
         table = tables[index[rep]]
         inverse = backend.power(table.schur(top), -1)
         q = [table.qtilde(sp.parts) for sp in basis]
+        u = [inverse * x for x in q]
+        t_vectors = [[sum(map(mul, v.num, ramanujan[a:])) for a in range(len(v.num))]
+                     for v in q]
         pairs: dict = {}
         for t, (i, j, k, _d) in enumerate(triples):
             w = pairs.get((i, j))
             if w is None:
-                w = pairs[(i, j)] = inverse * q[i] * q[j]
-            sums[t] += size * (w * q[dual[k]]).trace()
-    phi = euler_phi(backend.order)
+                w = pairs[(i, j)] = u[i] * q[j]
+            v = dual[k]
+            sums[t] += Fraction(size * sum(map(mul, w.num, t_vectors[v])), w.den * q[v].den)
+    phi = euler_phi(m)
     constants: dict = {(i, j): [] for i in range(len(basis)) for j in range(i, len(basis))}
     for (i, j, k, d), total in zip(triples, sums):
         c = total / (phi * 2 ** (n + d))
@@ -248,32 +261,17 @@ def _structure_constants(n: int) -> dict:
     return {key: tuple(entries) for key, entries in constants.items()}
 
 
-def _structure_constants_by_calls(n: int) -> dict:
-    """Structure constants from one `gw_invariant` call each: the reference build."""
-    basis = strict_partitions(n)
-    duals = [dual_partition(sp) for sp in basis]
-    constants: dict = {}
-    for i, lam in enumerate(basis):
-        for j in range(i, len(basis)):
-            mu = basis[j]
-            entries = []
-            for k, nu in enumerate(basis):
-                excess = lam.weight + mu.weight - nu.weight
-                if excess < 0 or excess % (n + 1):
-                    continue
-                d = excess // (n + 1)
-                c = gw_invariant(n, 0, d, [lam, mu, duals[k]])
-                if c:
-                    entries.append((k, d, c))
-            constants[(i, j)] = tuple(entries)
-    return constants
-
-
 def _validate(algebra: QHAlgebra) -> None:
     """Ring axioms checked on every build or load: unit, positivity, associativity.
 
-    The products of basis elements are checked as a sparse integer table
-    {(i, j): {k: c}}, once the constants are known to be nonnegative integers.
+    Once the constants c_ij^k are known to be nonnegative integers,
+    associativity is checked on packed integers.  Q[mid] packs c_{mid,k}^out in
+    slot (k, out), so the row of (j, i), sum_mid c_ji^mid Q[mid], holds (j*i)*k
+    in block k.  The table is symmetric, so i*(j*k) = (j*k)*i: the triple
+    (i, j, k) is associative exactly when block k of the row of (j, i) equals
+    block i of the row of (j, k).  A slot is at most the largest row sum of
+    constants times the largest constant; slots are whole bytes at least that
+    bound's bit length wide, so none carries and blocks compare as bytes.
     """
     dim = algebra.dim
     if algebra.basis[0].parts != ():
@@ -282,33 +280,34 @@ def _validate(algebra: QHAlgebra) -> None:
         for _k, d, c in entries:
             if d < 0 or c < 0 or c != int(c):
                 raise InconsistentAlgebraError(f"bad structure constant ({d}, {c})")
-    table = {}
+    rows = [[None] * dim for _ in range(dim)]  # rows[i][j] = {k: c_ij^k}
     for i in range(dim):
-        for j in range(dim):
-            row: dict = {}
+        for j in range(i, dim):
+            row = rows[i][j] = rows[j][i] = {}
             for k, _d, c in algebra.pair_constants(i, j):
                 if c:
                     row[k] = row.get(k, 0) + int(c)
-            table[(i, j)] = row
     for k in range(dim):
-        if table[(0, k)] != {k: 1}:
+        if rows[0][k] != {k: 1}:
             raise InconsistentAlgebraError(f"unit fails on basis element {k}")
-    for i in range(dim):
-        for j in range(dim):
-            ij = table[(i, j)]
-            for k in range(dim):
-                left: dict = {}
-                for mid, c in ij.items():
-                    for out, e in table[(mid, k)].items():
-                        left[out] = left.get(out, 0) + c * e
-                right: dict = {}
-                for mid, c in table[(j, k)].items():
-                    for out, e in table[(i, mid)].items():
-                        right[out] = right.get(out, 0) + c * e
-                if left != right:
-                    raise InconsistentAlgebraError(
-                        f"associativity fails on basis triple ({i}, {j}, {k})"
-                    )
+    flat = [r for rr in rows for r in rr]
+    bound = max(max(r.values(), default=0) for r in flat) * max(sum(r.values()) for r in flat)
+    slot = (bound.bit_length() + 7) // 8 or 1  # bytes
+    block = slot * dim
+    Q = [sum(c << (8 * slot * (dim * k + out)) for k, r in enumerate(rr) for out, c in r.items())
+         for rr in rows]
+    first = None
+    for j in range(dim):
+        packed = [sum(c * Q[mid] for mid, c in r.items()).to_bytes(block * dim, "little")
+                  for r in rows[j]]
+        for i, row in enumerate(packed):
+            k = next((k for k in range(i + 1, dim) if row[k * block:(k + 1) * block]
+                      != packed[k][i * block:(i + 1) * block]), None)
+            if k is not None:  # the smallest failing i for this j, and its smallest k
+                first = min(first or (i, j, k), (i, j, k))
+                break
+    if first:
+        raise InconsistentAlgebraError(f"associativity fails on basis triple {first}")
 
 
 def default_cache_dir() -> Path:
@@ -383,6 +382,8 @@ def build_qh_algebra(n: int, use_cache: bool = True, cache_dir=None) -> QHAlgebr
     """
     if n < 1:
         raise ValueError(f"rank must be positive, got {n}")
+    if n > _MAX_RANK:
+        raise ValueError(f"rank {n} is above the oracle's limit {_MAX_RANK}")
     path = _cache_path(n, cache_dir)
     algebra = _load_cache(n, path) if use_cache else None
     if algebra is None:
@@ -403,10 +404,9 @@ def build_qh_algebra(n: int, use_cache: bool = True, cache_dir=None) -> QHAlgebr
 
 
 def _as_vector(algebra: QHAlgebra, x) -> list[Fraction]:
-    if isinstance(x, (list, tuple)):
-        if len(x) == algebra.dim and all(isinstance(v, (int, Fraction)) for v in x):
-            return [Fraction(v) for v in x]
-        return algebra.basis_vector(as_strict(algebra.n, x))
+    if isinstance(x, (list, tuple)) and len(x) == algebra.dim and all(
+            isinstance(v, (int, Fraction)) for v in x):
+        return [Fraction(v) for v in x]
     return algebra.basis_vector(as_strict(algebra.n, x))
 
 

@@ -11,6 +11,7 @@ from lgquot.cyclotomic import (
     NonIntegerValueError,
     NonvanishingAssumptionError,
     _mobius,
+    _ramanujan_sums,
     cyclotomic_polynomial,
     euler_phi,
     make_backend,
@@ -244,3 +245,12 @@ def test_trace_is_sum_of_galois_conjugates(m):
                 conjugates = conjugates + x._conjugate(a)
         assert x.trace() == conjugates.as_fraction()
     assert CyclotomicNumber(m, [1]).trace() == euler_phi(m)
+
+
+@pytest.mark.parametrize("m", [9, 15, 40, 56, 72])
+def test_ramanujan_sums_cover_every_residue(m):
+    # unreduced exponents up to m - 1, as the oracle's trace form reads them
+    sums = _ramanujan_sums(m)
+    assert len(sums) == m
+    for e in range(m):
+        assert sums[e] == CyclotomicNumber(m, [0] * e + [1]).trace()

@@ -9,12 +9,12 @@ from lgquot.cli import main
 from lgquot.invariants import gw_invariant, required_degree
 from lgquot.oracle import (
     CACHE_FORMAT_VERSION,
+    _MAX_RANK,
     InconsistentAlgebraError,
     QHAlgebra,
     SingularEulerError,
     _cache_path,
     _structure_constants,
-    _structure_constants_by_calls,
     _validate,
     build_qh_algebra,
     charpoly,
@@ -28,12 +28,71 @@ from lgquot.oracle import (
     quantum_euler,
     trace_invariant,
 )
-from lgquot.partitions import strict_partitions
+from lgquot.partitions import dual_partition, strict_partitions
 
 
 @pytest.fixture(scope="module")
 def algebras():
     return {n: build_qh_algebra(n) for n in (1, 2, 3)}
+
+
+def _structure_constants_by_calls(n: int) -> dict:
+    """Structure constants from one `gw_invariant` call each: the reference build."""
+    basis = strict_partitions(n)
+    duals = [dual_partition(sp) for sp in basis]
+    constants: dict = {}
+    for i, lam in enumerate(basis):
+        for j in range(i, len(basis)):
+            mu = basis[j]
+            entries = []
+            for k, nu in enumerate(basis):
+                excess = lam.weight + mu.weight - nu.weight
+                if excess < 0 or excess % (n + 1):
+                    continue
+                d = excess // (n + 1)
+                c = gw_invariant(n, 0, d, [lam, mu, duals[k]])
+                if c:
+                    entries.append((k, d, c))
+            constants[(i, j)] = tuple(entries)
+    return constants
+
+
+def _validate_reference(algebra: QHAlgebra) -> None:
+    """The ring axioms on a sparse dict table, triple by triple: the reference validator."""
+    dim = algebra.dim
+    if algebra.basis[0].parts != ():
+        raise InconsistentAlgebraError("basis does not start with the unit class")
+    for entries in algebra.constants.values():
+        for _k, d, c in entries:
+            if d < 0 or c < 0 or c != int(c):
+                raise InconsistentAlgebraError(f"bad structure constant ({d}, {c})")
+    table = {}
+    for i in range(dim):
+        for j in range(dim):
+            row: dict = {}
+            for k, _d, c in algebra.pair_constants(i, j):
+                if c:
+                    row[k] = row.get(k, 0) + int(c)
+            table[(i, j)] = row
+    for k in range(dim):
+        if table[(0, k)] != {k: 1}:
+            raise InconsistentAlgebraError(f"unit fails on basis element {k}")
+    for i in range(dim):
+        for j in range(dim):
+            ij = table[(i, j)]
+            for k in range(dim):
+                left: dict = {}
+                for mid, c in ij.items():
+                    for out, e in table[(mid, k)].items():
+                        left[out] = left.get(out, 0) + c * e
+                right: dict = {}
+                for mid, c in table[(j, k)].items():
+                    for out, e in table[(i, mid)].items():
+                        right[out] = right.get(out, 0) + c * e
+                if left != right:
+                    raise InconsistentAlgebraError(
+                        f"associativity fails on basis triple ({i}, {j}, {k})"
+                    )
 
 
 def test_matrix_helpers():
@@ -320,6 +379,63 @@ def test_corrupt_cache_is_ignored(tmp_path):
     path.write_text("{not json")
     algebra = build_qh_algebra(3, cache_dir=tmp_path)
     assert algebra.dim == 8
+
+
+def _failure(validator, algebra):
+    try:
+        validator(algebra)
+    except InconsistentAlgebraError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_packed_validation_names_the_reference_failure(n):
+    # every constant raised by 1, and lowered by 1 where positive: the packed
+    # check and the dict reference give the same verdict and message, naming
+    # the same triple (a few changes, such as x^2 = 2 at rank 1, stay a ring)
+    algebra = build_qh_algebra(n)
+    rejected = 0
+    for (i, j), entries in algebra.constants.items():
+        for position, (k, d, c) in enumerate(entries):
+            for changed in (c + 1, c - 1) if c > 0 else (c + 1,):
+                row = entries[:position] + ((k, d, changed),) + entries[position + 1:]
+                broken = QHAlgebra(n, algebra.basis, {**algebra.constants, (i, j): row})
+                expected = _failure(_validate_reference, broken)
+                assert _failure(_validate, broken) == expected, (i, j, k, changed)
+                rejected += expected is not None
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_built_algebras_pass_both_validators(n):
+    algebra = build_qh_algebra(n)
+    _validate(algebra)
+    _validate_reference(algebra)
+
+
+def test_packed_validation_slots_hold_large_constants():
+    # x^2 = C + D x is associative for any C, D; with both near 2^60 a slot
+    # holds up to (C + D) * max(C, D), about 2^121
+    basis = tuple(strict_partitions(1))
+    big_c, big_d = 2**60 + 3, 2**60 - 5
+    square = ((0, 1, big_c), (1, 1, big_d))
+    algebra = QHAlgebra(1, basis, {(0, 0): ((0, 0, 1),), (0, 1): ((1, 0, 1),), (1, 1): square})
+    _validate(algebra)
+    _validate_reference(algebra)
+    broken = QHAlgebra(1, basis, {(0, 0): ((0, 0, 1),), (0, 1): ((1, 0, 2),), (1, 1): square})
+    with pytest.raises(InconsistentAlgebraError, match="unit"):
+        _validate(broken)
+
+
+def test_rank_above_limit_refused_before_point_tables(tmp_path, monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("point tables built")
+
+    monkeypatch.setattr("lgquot.oracle._point_tables", no_tables)
+    with pytest.raises(ValueError, match=f"limit {_MAX_RANK}"):
+        build_qh_algebra(_MAX_RANK + 1, cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_validation_rejects_broken_constants():
