@@ -26,12 +26,14 @@ from .invariants import (
     NonHomogeneousError,
     ParityError,
     SchubertExpression,
+    _count_is_finite,
     gw_invariant,
     intersection_number,
     maximal_count,
     maximal_subbundle_degree,
 )
 from .oracle import SingularEulerError
+from .partitions import _shape
 from .verify import SUITE_NAMES, run_suites
 
 __all__ = ["main", "parse_partition_list", "parse_poly", "CLIParseError"]
@@ -48,6 +50,14 @@ class CLIParseError(ValueError):
 
 
 # -- argument grammars -----------------------------------------------------------
+
+
+def _strict_parts(parts, n: int, position: int) -> tuple[int, ...]:
+    """The parts of a rank-n strict partition, or a CLIParseError at `position`."""
+    try:
+        return _shape(parts, strict=True, n=n)
+    except ValueError as exc:
+        raise CLIParseError(str(exc), position) from None
 
 
 def parse_partition_list(text: str, n: int) -> list[tuple[int, ...]]:
@@ -67,12 +77,7 @@ def parse_partition_list(text: str, n: int) -> list[tuple[int, ...]]:
                 raise CLIParseError(f"expected an integer, got {piece!r}", position)
             parts.append(int(stripped))
             inner += len(piece) + 1
-        for p in parts:
-            if p < 1 or p > n:
-                raise CLIParseError(f"part {p} outside 1..{n}", offset)
-        if any(parts[i] <= parts[i + 1] for i in range(len(parts) - 1)):
-            raise CLIParseError(f"parts not strictly decreasing: {parts}", offset)
-        partitions.append(tuple(parts))
+        partitions.append(_strict_parts(parts, n, offset))
         offset += len(segment) + 1
     return partitions
 
@@ -167,8 +172,7 @@ class _PolyParser:
         if token[0] == "a":
             self.take("a")
             k_token = self.take("int")
-            parts: tuple[int, ...] = (k_token[1],)
-            self._check_parts(parts, k_token[2])
+            parts = _strict_parts((k_token[1],), self.n, k_token[2])
         elif token[0] == "Q":
             self.take("Q")
             self.take("[")
@@ -178,8 +182,7 @@ class _PolyParser:
                 self.take(",")
                 entries.append(self.take("int")[1])
             self.take("]")
-            parts = tuple(entries)
-            self._check_parts(parts, first[2])
+            parts = _strict_parts(entries, self.n, first[2])
         else:
             raise CLIParseError(f"expected a factor, got {token[0]!r}", token[2])
         exponent = 1
@@ -187,12 +190,6 @@ class _PolyParser:
             self.take("^")
             exponent = self.take("int")[1]
         return [parts] * exponent
-
-    def _check_parts(self, parts: tuple[int, ...], position: int) -> None:
-        if any(p < 1 or p > self.n for p in parts):
-            raise CLIParseError(f"part outside 1..{self.n}: {list(parts)}", position)
-        if any(parts[i] <= parts[i + 1] for i in range(len(parts) - 1)):
-            raise CLIParseError(f"parts not strictly decreasing: {list(parts)}", position)
 
 
 def parse_poly(text: str, n: int) -> SchubertExpression:
@@ -250,6 +247,17 @@ class BackendMismatchError(ArithmeticError):
     pass
 
 
+def _decimal(value: int) -> str:
+    """The decimal digits of an integer of any length, with the process-wide
+    limit of sys.get_int_max_str_digits() (4300 by default) left as it is."""
+    try:
+        return str(value)
+    except ValueError:  # over the limit: print halves of about half the digits
+        half = abs(value).bit_length() * 3 // 20  # log10(2) > 3/10
+        high, low = divmod(abs(value), 10 ** half)
+        return "-" * (value < 0) + _decimal(high) + _decimal(low).zfill(half)
+
+
 # (exception kind, error code, exit status), tried in order: the first kind the
 # exception is an instance of wins, so subclasses precede (ValueError, TypeError).
 _ERRORS = (
@@ -299,7 +307,7 @@ def _run_query(params: dict, backend: str, fmt: str, compute, text_lines=_value_
     try:
         value = compute(result)
         if value is not None:
-            result.value = str(value)
+            result.value = _decimal(value)
     except Exception as exc:  # classified by _ERRORS; unknown kinds re-raise
         for kind, code, status in _ERRORS:
             if isinstance(exc, kind):
@@ -372,14 +380,14 @@ def cmd_table(args) -> int:
     def compute(result):
         rows = []
         for g in parse_genus_range(args.genus_range):
-            if (args.n * (args.ell - g + 1)) % 2:
+            if not _count_is_finite(args.n, g, args.ell):
                 continue  # no finite count at this genus; row omitted
             value = _compute_with_backend(
                 lambda kind: maximal_count(args.n, g, args.ell, kind), args.backend
             )
             rows.append({"n": args.n, "g": g, "ell": args.ell,
                          "e": maximal_subbundle_degree(args.n, g, args.ell),
-                         "value": str(value)})
+                         "value": _decimal(value)})
         result.rows = rows
 
     def lines(r):

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import make_backend
-from .partitions import IndexTuple, StrictPartition, as_strict, staircase, summation_tuples
+from .partitions import IndexTuple, _shape, as_strict, staircase, summation_tuples
 from .symfunc import PointTable
 
 __all__ = [
@@ -51,17 +51,6 @@ class NonHomogeneousError(ValueError):
     """An expression that must be weighted-homogeneous mixes degrees."""
 
 
-def _factor_key(parts) -> tuple[int, ...]:
-    parts = tuple(int(p) for p in (getattr(parts, "parts", parts)))
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
-    if any(p < 1 for p in parts):
-        raise ValueError(f"factor parts must be positive: {parts}")
-    if any(parts[i] <= parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError(f"factor parts must be strictly decreasing: {parts}")
-    return parts
-
-
 @dataclass(frozen=True)
 class SchubertExpression:
     """A sum of rational multiples of products of qtilde factors.
@@ -78,8 +67,9 @@ class SchubertExpression:
         merged: dict[tuple, Fraction] = {}
         for coeff, factors in self.terms:
             coeff = Fraction(coeff)
-            # empty factors are the unit class and contribute nothing
-            key = tuple(sorted(k for k in (_factor_key(f) for f in factors) if k))
+            # factors are strict partitions of any rank; empty ones (the unit) drop out
+            keys = (_shape(getattr(f, "parts", f), strict=True) for f in factors)
+            key = tuple(sorted(k for k in keys if k))
             merged[key] = merged.get(key, Fraction(0)) + coeff
         cleaned = tuple(
             (coeff, key)
@@ -107,11 +97,11 @@ class SchubertExpression:
 
     @classmethod
     def qtilde_factor(cls, parts) -> SchubertExpression:
-        return cls(((Fraction(1), (_factor_key(parts),)),))
+        return cls(((Fraction(1), (parts,)),))
 
     @classmethod
     def monomial(cls, factors, coeff=1) -> SchubertExpression:
-        return cls(((Fraction(coeff), tuple(_factor_key(f) for f in factors)),))
+        return cls(((Fraction(coeff), tuple(factors)),))
 
     # -- algebra -----------------------------------------------------------------
 
@@ -221,18 +211,21 @@ def maximal_subbundle_degree(n: int, g: int, ell: int) -> int:
     return -((n * (g - 1 - ell)) // 2)
 
 
+def _count_is_finite(n: int, g: int, ell: int) -> bool:
+    """Whether n(ell - g + 1) is even, the hypothesis of the counting formula."""
+    return n * (ell - g + 1) % 2 == 0
+
+
 def required_degree(n: int, g: int, insertions) -> int | None:
     """The unique map degree d >= 0 compatible with the inserted weights, if any.
 
-    Solves total weight = n(n+1)/2 * (1 - g) + d(n+1); returns None when the
-    solution is negative or fractional.
+    Solves total weight = n(n+1)/2 * (1 - g) + d(n+1), the expected dimension
+    of the Quot scheme at ell = 0 and e = -d; returns None when the solution is
+    negative or fractional.
     """
     total = sum(as_strict(n, lam).weight for lam in insertions)
-    numerator = total - (n * (n + 1) // 2) * (1 - g)
-    if numerator % (n + 1):
-        return None
-    d = numerator // (n + 1)
-    return d if d >= 0 else None
+    d, rest = divmod(total - expected_dimension(n, 0, 0, g), n + 1)
+    return d if d >= 0 and not rest else None
 
 
 # -- evaluation points -----------------------------------------------------------
@@ -287,17 +280,13 @@ def point_from_tuple(backend, J: IndexTuple):
     return tuple(backend.root_of_unity(order, d) for d in J.doubled)
 
 
-def _validated_insertions(n: int, insertions) -> list[StrictPartition]:
-    return [as_strict(n, lam) for lam in insertions]
-
-
 def _point_sum(n: int, g: int, backend: str, exponent: int, qtildes,
                P: SchubertExpression | None = None) -> int:
     """The integer 2^exponent * sum over the rank-n points of S^(g-1) * factors.
 
     S is the staircase Schur value at the point; the factors are the qtilde
     values of the partitions in `qtildes`, then the value of P if given.  This
-    is the only loop over the points, shared by the three formulas below.
+    is the one sum that the three formulas below share.
     """
     eng, tables = _point_tables(n, backend)
     top = staircase(n).parts
@@ -315,6 +304,13 @@ def _point_sum(n: int, g: int, backend: str, exponent: int, qtildes,
 # -- the formulas ------------------------------------------------------------------
 
 
+def _check_rank_and_genus(n: int, g: int) -> None:
+    if n < 1:
+        raise ValueError(f"rank must be positive, got {n}")
+    if g < 0:
+        raise ValueError(f"genus must be nonnegative, got {g}")
+
+
 def gw_invariant(n: int, g: int, d: int, insertions, backend: str = "exact") -> int:
     """Genus-g Gromov-Witten invariant of the rank-n Lagrangian Grassmannian.
 
@@ -325,13 +321,10 @@ def gw_invariant(n: int, g: int, d: int, insertions, backend: str = "exact") -> 
     S would make the summand undefined and raises
     NonvanishingAssumptionError instead of being silently skipped.
     """
-    if n < 1:
-        raise ValueError(f"rank must be positive, got {n}")
-    if g < 0:
-        raise ValueError(f"genus must be nonnegative, got {g}")
+    _check_rank_and_genus(n, g)
     if not isinstance(d, int):
         raise TypeError(f"degree must be an integer, got {d!r}")
-    lams = _validated_insertions(n, insertions)
+    lams = [as_strict(n, lam) for lam in insertions]
     if required_degree(n, g, lams) != d:
         return 0
     return _point_sum(n, g, backend, n * (g - 1) - d, [lam.parts for lam in lams])
@@ -347,17 +340,13 @@ def intersection_number(n: int, g: int, ell: int, e: int, P: SchubertExpression,
     A * sum over points of S^(g-1) * P, with an extra staircase qtilde factor
     inside the sum for odd ell, and A = 2^(n(g-1) + e - m*n).
     """
-    if n < 1:
-        raise ValueError(f"rank must be positive, got {n}")
-    if g < 0:
-        raise ValueError(f"genus must be nonnegative, got {g}")
+    _check_rank_and_genus(n, g)
     if not isinstance(P, SchubertExpression):
         raise TypeError(f"P must be a SchubertExpression, got {type(P).__name__}")
-    if not P.is_homogeneous():
-        raise NonHomogeneousError(f"expression mixes degrees {sorted(P.term_degrees())}")
+    degree = P.degree()
     if P.max_part() > n:
         raise ValueError(f"expression uses parts above the rank {n}")
-    if P.degree() != expected_dimension(n, e, ell, g):
+    if degree != expected_dimension(n, e, ell, g):
         return 0
     half_ell = (ell + 1) // 2
     return _point_sum(n, g, backend, n * (g - 1) + e - half_ell * n,
@@ -374,11 +363,8 @@ def maximal_count(n: int, g: int, ell: int, backend: str = "exact") -> int:
     is enumerative for genus at least 2; for smaller genus it is the bare
     formula value.
     """
-    if n < 1:
-        raise ValueError(f"rank must be positive, got {n}")
-    if g < 0:
-        raise ValueError(f"genus must be nonnegative, got {g}")
-    if (n * (ell - g + 1)) % 2:
+    _check_rank_and_genus(n, g)
+    if not _count_is_finite(n, g, ell):
         raise ParityError(
             f"n(ell - g + 1) = {n * (ell - g + 1)} is odd; no finite count for "
             f"(n={n}, g={g}, ell={ell})"
@@ -415,7 +401,7 @@ def verify_staircase_insertion(n: int, g: int, d: int, insertions, k: int,
     """Raising the degree by n*k matches inserting 2k staircase classes."""
     if k < 0:
         raise ValueError(f"insertion count must be nonnegative, got {k}")
-    lams = _validated_insertions(n, insertions)
+    lams = [as_strict(n, lam) for lam in insertions]
     lhs = gw_invariant(n, g, d, lams, backend)
     rhs = gw_invariant(n, g, d + k * n, lams + [staircase(n)] * (2 * k), backend)
     return lhs == rhs

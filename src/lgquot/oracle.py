@@ -356,6 +356,8 @@ def _load_cache(n: int, path: Path) -> QHAlgebra | None:
         payload = json.loads(path.read_text())
     except (OSError, ValueError):
         return None
+    if not isinstance(payload, dict):
+        return None
     if payload.get("format_version") != CACHE_FORMAT_VERSION or payload.get("n") != n:
         return None
     basis = strict_partitions(n)

@@ -31,6 +31,29 @@ __all__ = [
 ]
 
 
+def _shape(parts, strict: bool = False, n: int | None = None) -> tuple[int, ...]:
+    """The parts of a partition label as a tuple of ints, or ValueError.
+
+    Weakly decreasing nonnegative parts, or with `strict` strictly decreasing
+    positive parts, each at most n if n is given.  Trailing zeros are dropped
+    unless n is given: a rank-n label lists its parts exactly.
+    """
+    parts = tuple(map(int, parts))
+    if n is None:
+        while parts and not parts[-1]:
+            parts = parts[:-1]
+    if not parts:
+        return parts
+    lo = 1 if strict else 0
+    if min(parts) < lo or (n is not None and max(parts) > n):
+        bound = f"be at least {lo}" if n is None else f"lie in {lo}..{n}"
+        raise ValueError(f"parts of {parts} must {bound}")
+    if parts != tuple(sorted(set(parts) if strict else parts, reverse=True)):
+        kind = "strictly" if strict else "weakly"
+        raise ValueError(f"parts not {kind} decreasing: {parts}")
+    return parts
+
+
 @dataclass(frozen=True)
 class Partition:
     """A weakly decreasing sequence of nonnegative integers; trailing zeros dropped."""
@@ -38,14 +61,7 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.parts)
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
-        if any(p < 0 for p in parts):
-            raise ValueError(f"negative part in {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"parts not weakly decreasing: {parts}")
-        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "parts", _shape(self.parts))
 
     @property
     def weight(self) -> int:
@@ -66,12 +82,7 @@ class StrictPartition:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"rank must be positive, got {self.n}")
-        parts = tuple(int(p) for p in self.parts)
-        if any(p < 1 or p > self.n for p in parts):
-            raise ValueError(f"parts of {parts} must lie in 1..{self.n}")
-        if any(parts[i] <= parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"parts not strictly decreasing: {parts}")
-        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "parts", _shape(self.parts, strict=True, n=self.n))
 
     @property
     def weight(self) -> int:
@@ -89,13 +100,11 @@ class StrictPartition:
 
 def as_strict(n: int, value) -> StrictPartition:
     """Coerce a StrictPartition, Partition, or iterable of parts into rank n."""
-    if isinstance(value, StrictPartition):
-        if value.n == n:
-            return value
-        return StrictPartition(n, value.parts)
-    if isinstance(value, Partition):
-        return StrictPartition(n, value.parts)
-    return StrictPartition(n, tuple(value))
+    if isinstance(value, StrictPartition) and value.n == n:
+        return value
+    if isinstance(value, (StrictPartition, Partition)):
+        value = value.parts
+    return StrictPartition(n, value)
 
 
 def strict_partitions(n: int) -> list[StrictPartition]:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .partitions import _shape
+
 __all__ = [
     "PointTable",
     "SkewMatrix",
@@ -24,19 +26,6 @@ __all__ = [
     "pfaffian",
     "determinant",
 ]
-
-
-def _parts(partition) -> tuple[int, ...]:
-    """Normalize a partition-like argument to a weakly decreasing tuple, zeros dropped."""
-    parts = getattr(partition, "parts", partition)
-    parts = tuple(int(p) for p in parts)
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
-    if any(p < 0 for p in parts):
-        raise ValueError(f"negative part in {parts}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError(f"parts not weakly decreasing: {parts}")
-    return parts
 
 
 class PointTable:
@@ -65,9 +54,11 @@ class PointTable:
         self._elementary = None
         self._complete = [backend.one]
         self._pair: dict[tuple[int, int], object] = {}
-        self._qtilde: dict[tuple[int, ...], object] = {}
+        # the staircase (N-1, ..., 1) of the N coordinates
+        self._top = tuple(range(self.size - 1, 0, -1))
+        self._qtilde: dict[tuple[int, ...], object] = (
+            {} if staircase_qtilde is None else {self._top: staircase_qtilde})
         self._schur: dict[tuple[int, ...], object] = {}
-        self._staircase_qtilde = staircase_qtilde
 
     @property
     def values(self) -> tuple:
@@ -139,15 +130,13 @@ class PointTable:
 
         The staircase's value is read from `staircase_qtilde` when it was given.
         """
-        parts = _parts(partition)
+        parts = _shape(getattr(partition, "parts", partition))
         cached = self._qtilde.get(parts)
         if cached is None:
             cached = self._qtilde[parts] = self._qtilde_uncached(parts)
         return cached
 
     def _qtilde_uncached(self, parts: tuple[int, ...]):
-        if self._staircase_qtilde is not None and parts == tuple(range(self.size - 1, 0, -1)):
-            return self._staircase_qtilde
         if len(parts) == 0:
             return self.backend.one
         if len(parts) == 1:
@@ -168,13 +157,13 @@ class PointTable:
         For the staircase (N-1, ..., 1) of the N coordinates it is the product
         of x_i + x_j over i < j instead (Macdonald I.3 Ex. 3): no division.
         """
-        parts = _parts(partition)
+        parts = _shape(getattr(partition, "parts", partition))
         cached = self._schur.get(parts)
         if cached is None:
             n = self.size
             if len(parts) > n:
                 cached = self.backend.zero
-            elif parts == tuple(range(n - 1, 0, -1)):
+            elif parts == self._top:
                 cached = self._staircase()
             else:
                 padded = parts + (0,) * (n - len(parts))

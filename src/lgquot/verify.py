@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 from .invariants import (
     SchubertExpression,
+    _count_is_finite,
+    expected_dimension,
     gw_invariant,
     intersection_number,
     maximal_count,
@@ -59,13 +61,10 @@ def _sample_quot_parameters(rng: random.Random, max_n: int, max_genus: int,
     n = rng.randint(1, max_n)
     g = rng.randint(0, max_genus)
     ell = rng.randint(-2, 2)
-    offset = (n * (n + 1) // 2) * (g - 1 - ell)
-    degree = rng.randint(0, degree_cap)
-    remainder = (degree + offset) % (n + 1)
-    if remainder:
-        degree += (n + 1) - remainder
-    e = -(degree + offset) // (n + 1)
-    return n, g, ell, e, random_monomial(rng, n, degree)
+    # the dimension falls by n + 1 per unit of e: take the largest e whose
+    # dimension is at least a drawn degree
+    e = (expected_dimension(n, 0, ell, g) - rng.randint(0, degree_cap)) // (n + 1)
+    return n, g, ell, e, random_monomial(rng, n, expected_dimension(n, e, ell, g))
 
 
 def _sample_insertions(rng: random.Random, max_n: int, max_genus: int,
@@ -190,7 +189,7 @@ def backend_suite(max_n: int = 3, max_genus: int = 4, seed: int = 0,
     for n in range(1, max_n + 1):
         for g in range(0, max_genus + 1):
             for ell in (-1, 0, 1, 2):
-                if (n * (ell - g + 1)) % 2:
+                if not _count_is_finite(n, g, ell):
                     continue
                 total += 1
                 good += maximal_count(n, g, ell, "exact") == maximal_count(n, g, ell, "float")
@@ -201,6 +200,10 @@ def backend_suite(max_n: int = 3, max_genus: int = 4, seed: int = 0,
 def run_suites(names, max_n: int = 3, max_genus: int = 4, seed: int = 0,
                cases: int = 50) -> list[CheckOutcome]:
     """Run the named suites ('identities', 'oracle', 'backends', or 'all')."""
+    for flag, value, least in (("--max-n", max_n, 1), ("--max-genus", max_genus, 0),
+                               ("--cases", cases, 1)):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
     chosen = SUITE_NAMES if "all" in names else tuple(names)
     outcomes = []
     for name in chosen:

@@ -260,6 +260,45 @@ def test_verify_all_prints_pinned_lines(monkeypatch, tmp_path, capsys):
     assert built == [f"qh_algebra_n{n}_v1.json" for n in (1, 2, 3)]
 
 
+@pytest.mark.parametrize("args", [
+    ("--cases", "-5"),
+    ("--suite", "identities", "--cases", "0"),
+    ("--max-n", "0"),
+    ("--max-genus", "-1"),
+])
+def test_verify_refuses_arguments_out_of_range(args, capsys):
+    # refused up front as USAGE, naming the flag, before any check runs
+    assert main(["verify", *args]) == 2
+    flag = next(a for a in args if a != "--suite" and a.startswith("--"))
+    assert capsys.readouterr().out.startswith(f"error USAGE: {flag} must be at least ")
+
+
+def _max_str_digits():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@pytest.mark.parametrize("argv, read", [
+    (["count"], lambda out: out.splitlines()[0]),
+    (["count", "--format", "json"], lambda out: json.loads(out)["value"]),
+    (["table", "--genus-range", "20000..20000"], lambda out: out.splitlines()[1].split(",")[4]),
+    (["table", "--genus-range", "20000..20000", "--format", "json"],
+     lambda out: json.loads(out)["rows"][0]["value"]),
+], ids=["count-text", "count-json", "table-csv", "table-json"])
+def test_integers_longer_than_the_str_digit_cap(argv, read, capsys):
+    # the rank-one count at odd ell is 2^g: at g = 20000 it has 6,021 digits,
+    # more than str() converts by default since CPython 3.10.7
+    command, *rest = argv
+    genus = [] if command == "table" else ["--genus", "20000"]
+    cap = _max_str_digits()
+    assert main([command, "--n", "1", *genus, "--ell", "1", *rest]) == 0
+    assert _max_str_digits() == cap
+    digits = read(capsys.readouterr().out)
+    value = 2 ** 20000
+    assert len(digits) == 6021
+    assert digits[:12] == "%d" % (value // 10 ** (6021 - 12))
+    assert digits[-12:] == "%012d" % (value % 10 ** 12)
+
+
 @pytest.mark.parametrize("exc, code, status", [
     (CLIParseError("expected an integer", 3), "PARSE", 2),
     (ParityError("n(ell - g + 1) is odd"), "PARITY", 2),

@@ -373,10 +373,13 @@ def test_unusable_cache_dir_does_not_fail_verification(tmp_path, monkeypatch, ca
     assert "cache not saved" in caplog.text
 
 
-def test_corrupt_cache_is_ignored(tmp_path):
+@pytest.mark.parametrize("payload", ["{not json", "[]", "null", '"x"'],
+                         ids=["not-json", "list", "null", "string"])
+def test_corrupt_cache_is_ignored(tmp_path, payload):
+    # JSON that is not an object is rebuilt like text that is not JSON
     path = _cache_path(3, tmp_path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("{not json")
+    path.write_text(payload)
     algebra = build_qh_algebra(3, cache_dir=tmp_path)
     assert algebra.dim == 8
 

@@ -4,6 +4,9 @@ from math import comb, gcd, isclose, pi
 
 import pytest
 
+from lgquot.cli import main
+from lgquot.cyclotomic import make_backend
+from lgquot.invariants import SchubertExpression
 from lgquot.partitions import (
     IndexTuple,
     Partition,
@@ -17,6 +20,7 @@ from lgquot.partitions import (
     strict_partitions,
     summation_tuples,
 )
+from lgquot.symfunc import PointTable
 
 
 def test_partition_normalizes_trailing_zeros():
@@ -41,6 +45,52 @@ def test_strict_partition_validation():
         StrictPartition(3, (2, 2))
     with pytest.raises(ValueError):
         StrictPartition(0, ())
+
+
+# Whether each entry point accepts a label at rank 3.  Partition and the point
+# tables read labels as weakly decreasing, SchubertExpression factors as strict
+# of any rank; both read trailing zeros as padding.  StrictPartition and the two
+# CLI grammars take rank-3 labels that list their parts exactly.
+SHAPES = [(2, 1), (2, 1, 0), (1, 2), (2, 2), (0,), (-1,), (4,)]
+ACCEPTS = {
+    "Partition": [True, True, False, True, True, False, True],
+    "StrictPartition": [True, False, False, False, False, False, False],
+    "PointTable.qtilde": [True, True, False, True, True, False, True],
+    "SchubertExpression.monomial": [True, True, False, False, True, False, True],
+    "--partitions": [True, False, False, False, False, False, False],
+    "--poly": [True, False, False, False, False, False, False],
+}
+
+
+def _accepts(entry: str, shape: tuple[int, ...], capsys) -> bool:
+    text = ",".join(map(str, shape))
+    if entry.startswith("--"):
+        if entry == "--partitions":
+            argv = ["gw", "--n", "3", "--genus", "0", "--degree", "-1", "--partitions", text]
+        else:
+            argv = ["intersect", "--n", "3", "--genus", "0", "--ell", "0", "--e", "9",
+                    "--poly", f"Q[{text}]"]
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert (code, out.startswith("error PARSE: ")) in ((0, False), (2, True)), out
+        return code == 0
+    backend = make_backend("exact", 3)
+    calls = {
+        "Partition": Partition,
+        "StrictPartition": lambda parts: StrictPartition(3, parts),
+        "PointTable.qtilde": PointTable(backend, values=[backend.one] * 4).qtilde,
+        "SchubertExpression.monomial": lambda parts: SchubertExpression.monomial([parts]),
+    }
+    try:
+        calls[entry](shape)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("entry", list(ACCEPTS))
+def test_each_entry_point_keeps_its_shape_rule(entry, capsys):
+    assert [_accepts(entry, shape, capsys) for shape in SHAPES] == ACCEPTS[entry]
 
 
 def test_strict_partitions_small_ranks():
