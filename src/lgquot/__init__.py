@@ -1,5 +1,10 @@
 """Exact Gromov-Witten invariants, Quot-scheme intersection numbers, and
-maximal-subbundle counts for Lagrangian Grassmannians over curves."""
+maximal-subbundle counts for Lagrangian Grassmannians over curves.
+
+The oracle's names (`build_qh_algebra`, `trace_invariant`, `QHAlgebra`, ...)
+load `lgquot.oracle` on first use, so a process that only counts never
+imports it.
+"""
 
 from .cyclotomic import (
     CyclotomicNumber,
@@ -7,6 +12,7 @@ from .cyclotomic import (
     FloatBackend,
     NonIntegerValueError,
     NonvanishingAssumptionError,
+    SingularEulerError,
     cyclotomic_polynomial,
     euler_phi,
     make_backend,
@@ -28,15 +34,6 @@ from .invariants import (
     verify_hecke_recursion,
     verify_staircase_insertion,
     verify_twist_identity,
-)
-from .oracle import (
-    QHAlgebra,
-    SingularEulerError,
-    build_qh_algebra,
-    eigenvalue_check,
-    mult_operator,
-    quantum_euler,
-    trace_invariant,
 )
 from .partitions import (
     IndexTuple,
@@ -63,3 +60,29 @@ from .symfunc import (
 )
 
 __version__ = "0.1.0"
+
+# the suites of `lgquot verify`, readable without importing lgquot.verify
+SUITE_NAMES = ("identities", "oracle", "backends")
+
+_ORACLE_NAMES = frozenset({
+    "QHAlgebra",
+    "build_qh_algebra",
+    "eigenvalue_check",
+    "mult_operator",
+    "quantum_euler",
+    "trace_invariant",
+})
+
+
+def __getattr__(name: str):
+    """Resolve an oracle name on first use (PEP 562)."""
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        value = globals()[name] = getattr(oracle, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(globals().keys() | _ORACLE_NAMES)

@@ -18,23 +18,22 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cyclotomic import NonIntegerValueError, NonvanishingAssumptionError
+from . import SUITE_NAMES
+from .cyclotomic import NonIntegerValueError, NonvanishingAssumptionError, SingularEulerError
 from .invariants import (
     NonHomogeneousError,
     ParityError,
     SchubertExpression,
+    _check_rank_and_genus,
     _count_is_finite,
     gw_invariant,
     intersection_number,
     maximal_count,
     maximal_subbundle_degree,
 )
-from .oracle import SingularEulerError
 from .partitions import _shape
-from .verify import SUITE_NAMES, run_suites
 
 __all__ = ["main", "parse_partition_list", "parse_poly", "CLIParseError"]
 
@@ -210,19 +209,22 @@ def parse_genus_range(text: str) -> range:
 # -- output -------------------------------------------------------------------------
 
 
-@dataclass
 class QueryResult:
     """Echo of the query parameters plus the computed value, table rows or an error code."""
 
-    params: dict
-    value: str | None = None
-    backend: str = "exact"
-    elapsed_ms: float = 0.0
-    note: str | None = None
-    error: str | None = None
-    message: str | None = None
-    checks: list = field(default_factory=list)
-    rows: list | None = None
+    __slots__ = ("params", "value", "backend", "elapsed_ms", "note", "error", "message",
+                 "checks", "rows")
+
+    def __init__(self, params: dict, backend: str = "exact") -> None:
+        self.params = params
+        self.value: str | None = None
+        self.backend = backend
+        self.elapsed_ms = 0.0
+        self.note: str | None = None
+        self.error: str | None = None
+        self.message: str | None = None
+        self.checks: list = []
+        self.rows: list | None = None
 
     def to_dict(self) -> dict:
         out = dict(self.params)
@@ -380,6 +382,7 @@ def cmd_table(args) -> int:
     def compute(result):
         rows = []
         for g in parse_genus_range(args.genus_range):
+            _check_rank_and_genus(args.n, g)  # before the skip: a bad rank is refused
             if not _count_is_finite(args.n, g, args.ell):
                 continue  # no finite count at this genus; row omitted
             value = _compute_with_backend(
@@ -403,6 +406,8 @@ def cmd_verify(args) -> int:
               "max_genus": args.max_genus, "seed": args.seed, "cases": args.cases}
 
     def compute(result):
+        from .verify import run_suites  # only here: it imports the oracle
+
         outcomes = run_suites([args.suite], args.max_n, args.max_genus, args.seed,
                               args.cases)
         result.checks = [

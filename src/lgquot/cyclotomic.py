@@ -19,6 +19,7 @@ from math import gcd, lcm, prod, sqrt
 __all__ = [
     "NonIntegerValueError",
     "NonvanishingAssumptionError",
+    "SingularEulerError",
     "euler_phi",
     "cyclotomic_polynomial",
     "working_order",
@@ -41,6 +42,10 @@ class NonIntegerValueError(ValueError):
 
 class NonvanishingAssumptionError(ZeroDivisionError):
     """A quantity the formulas assume to be nonzero turned out to vanish."""
+
+
+class SingularEulerError(ArithmeticError):
+    """The quantum Euler operator is not invertible (semisimplicity failed)."""
 
 
 def _factorize(m: int) -> dict[int, int]:
@@ -395,8 +400,17 @@ class ExactBackend:
         return 0.0 if value.is_zero() else 1.0
 
 
+def _beyond_float_range() -> ValueError:
+    return ValueError("a value is beyond the float backend's range (magnitudes up to "
+                      "about 1.8e308); use --backend exact")
+
+
 class FloatBackend:
-    """Approximate twin backend: values are Python complex numbers."""
+    """Approximate twin backend: values are Python complex numbers.
+
+    A value beyond the range of a float raises ValueError, which the CLI
+    reports as USAGE, instead of an OverflowError or an infinite sum.
+    """
 
     name = "float"
     integer_tolerance = 1e-6
@@ -407,7 +421,10 @@ class FloatBackend:
 
     def from_fraction(self, value) -> complex:
         value = Fraction(value)
-        return complex(value.numerator / value.denominator)
+        try:
+            return complex(value.numerator / value.denominator)
+        except OverflowError:
+            raise _beyond_float_range() from None
 
     def root_of_unity(self, order: int, k: int) -> complex:
         return cmath.exp(2j * cmath.pi * k / order)
@@ -420,12 +437,17 @@ class FloatBackend:
             raise NonvanishingAssumptionError("negative power of a vanishing value")
         if exponent == 0:
             return 1 + 0j
-        return value ** exponent
+        try:
+            return value ** exponent
+        except OverflowError:
+            raise _beyond_float_range() from None
 
     def is_zero(self, value: complex) -> bool:
         return abs(value) <= self.zero_tolerance
 
     def extract_integer(self, value: complex) -> int:
+        if not cmath.isfinite(value):  # a product or sum overflowed
+            raise _beyond_float_range()
         nearest = round(value.real)
         if abs(value - nearest) > self.integer_tolerance * max(1.0, abs(value)):
             raise NonIntegerValueError(f"value is not close to an integer: {value}", value=value)

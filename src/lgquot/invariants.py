@@ -18,10 +18,10 @@ integer is extracted with a zero-residual check.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._frozen import Frozen
 from .cyclotomic import make_backend
 from .partitions import IndexTuple, _shape, as_strict, staircase, summation_tuples
 from .symfunc import PointTable
@@ -51,8 +51,7 @@ class NonHomogeneousError(ValueError):
     """An expression that must be weighted-homogeneous mixes degrees."""
 
 
-@dataclass(frozen=True)
-class SchubertExpression:
+class SchubertExpression(Frozen):
     """A sum of rational multiples of products of qtilde factors.
 
     Each term is a coefficient together with a multiset of strict-partition
@@ -61,11 +60,11 @@ class SchubertExpression:
     term is the total weight of its factors.
     """
 
-    terms: tuple[tuple[Fraction, tuple[tuple[int, ...], ...]], ...] = ()
+    __slots__ = _fields = ("terms",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, terms: tuple[tuple[Fraction, tuple], ...] = ()) -> None:
         merged: dict[tuple, Fraction] = {}
-        for coeff, factors in self.terms:
+        for coeff, factors in terms:
             coeff = Fraction(coeff)
             # factors are strict partitions of any rank; empty ones (the unit) drop out
             keys = (_shape(getattr(f, "parts", f), strict=True) for f in factors)
@@ -77,6 +76,14 @@ class SchubertExpression:
             if coeff != 0
         )
         object.__setattr__(self, "terms", cleaned)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
 
     # -- constructors ----------------------------------------------------------
 

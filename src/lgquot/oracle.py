@@ -29,12 +29,12 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from pathlib import Path
 
-from .cyclotomic import _ramanujan_sums, euler_phi
+from ._frozen import Frozen
+from .cyclotomic import SingularEulerError, _ramanujan_sums, euler_phi
 from .invariants import _point_tables, gw_invariant  # noqa: F401 (the benchmark tracer wraps it)
 from .partitions import (
     StrictPartition,
@@ -69,10 +69,6 @@ _MAX_RANK = 7
 #    "basis": [[], [1], [2], [2, 1]],
 #    "constants": [[[lam], [mu], [nu], d, "c"], ...]}
 # Rows are sorted; the structure constant c is a decimal string.
-
-
-class SingularEulerError(ArithmeticError):
-    """The quantum Euler operator is not invertible (semisimplicity failed)."""
 
 
 class InconsistentAlgebraError(RuntimeError):
@@ -149,8 +145,7 @@ def charpoly(a) -> list[Fraction]:
 # -- the algebra --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QHAlgebra:
+class QHAlgebra(Frozen):
     """Specialized quantum cohomology of rank n: basis plus structure constants.
 
     constants maps an index pair (i, j) with i <= j to a tuple of
@@ -158,9 +153,21 @@ class QHAlgebra:
     element k with coefficient c, contributed by maps of degree d.
     """
 
-    n: int
-    basis: tuple[StrictPartition, ...]
-    constants: dict
+    _fields = ("n", "basis", "constants")
+    __slots__ = _fields + ("_cached_index",)  # the index cache is not a field
+
+    def __init__(self, n: int, basis: tuple[StrictPartition, ...], constants: dict) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "constants", constants)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.n, self.basis, self.constants)
+                    == (other.n, other.basis, other.constants))
+        return NotImplemented
+
+    __hash__ = None  # constants is a dict
 
     @property
     def dim(self) -> int:

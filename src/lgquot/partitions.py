@@ -10,10 +10,11 @@ stored doubled, so every membership test is integer residue arithmetic.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
+
+from ._frozen import Frozen
 
 __all__ = [
     "Partition",
@@ -54,14 +55,21 @@ def _shape(parts, strict: bool = False, n: int | None = None) -> tuple[int, ...]
     return parts
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """A weakly decreasing sequence of nonnegative integers; trailing zeros dropped."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = _fields = ("parts",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", _shape(self.parts))
+    def __init__(self, parts: tuple[int, ...] = ()) -> None:
+        object.__setattr__(self, "parts", _shape(parts))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     @property
     def weight(self) -> int:
@@ -72,17 +80,24 @@ class Partition:
         return len(self.parts)
 
 
-@dataclass(frozen=True)
-class StrictPartition:
+class StrictPartition(Frozen):
     """A strictly decreasing sequence of positive parts, each at most the rank n."""
 
-    n: int
-    parts: tuple[int, ...] = ()
+    __slots__ = _fields = ("n", "parts")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"rank must be positive, got {self.n}")
-        object.__setattr__(self, "parts", _shape(self.parts, strict=True, n=self.n))
+    def __init__(self, n: int, parts: tuple[int, ...] = ()) -> None:
+        if n < 1:
+            raise ValueError(f"rank must be positive, got {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "parts", _shape(parts, strict=True, n=n))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.parts) == (other.n, other.parts)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.parts))
 
     @property
     def weight(self) -> int:
@@ -130,8 +145,7 @@ def staircase(n: int) -> StrictPartition:
     return StrictPartition(n, tuple(range(n, 0, -1)))
 
 
-@dataclass(frozen=True)
-class IndexTuple:
+class IndexTuple(Frozen):
     """A strictly increasing exponent tuple, stored doubled so half-integers stay exact.
 
     For N odd the exponents are integers (doubled entries even); for N even
@@ -140,16 +154,15 @@ class IndexTuple:
     -m+1/2 <= j_1 < ... < j_N <= 3m-1/2 for N = 2m.
     """
 
-    N: int
-    doubled: tuple[int, ...]
+    __slots__ = _fields = ("N", "doubled")
 
-    def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ValueError(f"tuple size must be positive, got {self.N}")
-        doubled = tuple(int(d) for d in self.doubled)
-        if len(doubled) != self.N:
-            raise ValueError(f"expected {self.N} entries, got {len(doubled)}")
-        lo, hi, parity = _window(self.N)
+    def __init__(self, N: int, doubled: tuple[int, ...]) -> None:
+        if N < 1:
+            raise ValueError(f"tuple size must be positive, got {N}")
+        doubled = tuple(int(d) for d in doubled)
+        if len(doubled) != N:
+            raise ValueError(f"expected {N} entries, got {len(doubled)}")
+        lo, hi, parity = _window(N)
         if any(d % 2 != parity for d in doubled):
             kind = "even" if parity == 0 else "odd"
             raise ValueError(f"doubled entries must all be {kind}: {doubled}")
@@ -157,7 +170,16 @@ class IndexTuple:
             raise ValueError(f"doubled entries out of window [{lo}, {hi}]: {doubled}")
         if any(doubled[i] >= doubled[i + 1] for i in range(len(doubled) - 1)):
             raise ValueError(f"doubled entries not strictly increasing: {doubled}")
+        object.__setattr__(self, "N", N)
         object.__setattr__(self, "doubled", doubled)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.N, self.doubled) == (other.N, other.doubled)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.N, self.doubled))
 
     @property
     def staircase_sign(self) -> int:

@@ -11,8 +11,7 @@ is reused across many partition labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._frozen import Frozen
 from .partitions import _shape
 
 __all__ = [
@@ -268,20 +267,27 @@ def qtilde(backend, partition, values):
     return PointTable(backend, values).qtilde(partition)
 
 
-@dataclass(frozen=True)
-class SkewMatrix:
+class SkewMatrix(Frozen):
     """A skew-symmetric matrix of even size, stored as full rows."""
 
-    rows: tuple[tuple[object, ...], ...]
+    __slots__ = _fields = ("rows",)
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(r) for r in self.rows)
+    def __init__(self, rows: tuple[tuple[object, ...], ...]) -> None:
+        rows = tuple(tuple(r) for r in rows)
         size = len(rows)
         if size % 2:
             raise ValueError(f"skew matrix must have even size, got {size}")
         if any(len(r) != size for r in rows):
             raise ValueError("skew matrix rows must be square")
         object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
 
     @classmethod
     def from_upper(cls, size: int, entry) -> SkewMatrix:

@@ -7,11 +7,13 @@ are bit-reproducible, and returns one aggregated outcome per named check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
+from . import SUITE_NAMES
+from ._frozen import Frozen
 from .invariants import (
     SchubertExpression,
     _count_is_finite,
+    _point_tables,
     expected_dimension,
     gw_invariant,
     intersection_number,
@@ -25,18 +27,34 @@ from .oracle import build_qh_algebra, mat_inverse, mult_operator, quantum_euler,
 
 __all__ = ["CheckOutcome", "identity_suite", "oracle_suite", "backend_suite", "run_suites"]
 
-SUITE_NAMES = ("identities", "oracle", "backends")
-
 # The oracle suite builds the algebras of ranks up to this one only: uncached,
 # rank 5 takes about 0.6 s in-process and rank 6 about 8 s.
 ORACLE_MAX_N = 5
 
+# The relation check stops at this rank too: at every point it takes n
+# qtilde_pair values, about 0.1 s in all at rank 7, 3 s at rank 10 and 20 s
+# at rank 12.
+RELATIONS_MAX_N = 7
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    name: str
-    passed: bool
-    detail: str = ""
+
+class CheckOutcome(Frozen):
+    """The aggregated result of one named check."""
+
+    __slots__ = _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.name, self.passed, self.detail)
+                    == (other.name, other.passed, other.detail))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.passed, self.detail))
 
 
 def random_monomial(rng: random.Random, n: int, degree: int) -> SchubertExpression:
@@ -84,6 +102,27 @@ def _tally(name: str, seed: int, cases: int, trial) -> CheckOutcome:
     rng = random.Random(seed)
     good = sum(bool(trial(rng)) for _ in range(cases))
     return CheckOutcome(name, good == cases, f"{good}/{cases} cases")
+
+
+def _presentation_relations(max_n: int) -> CheckOutcome:
+    """E_{n+1} = 1 and qtilde_pair(i, i) = 0 for i = 1..n at every point of ranks 1..max_n.
+
+    These are the relations of the rank-n presentation of the quantum ring at
+    q = 1, so every summation point must satisfy them.  Ranks above
+    RELATIONS_MAX_N are not checked, and the detail says so.
+    """
+    top = min(max_n, RELATIONS_MAX_N)
+    good = total = 0
+    for n in range(1, top + 1):
+        _backend, tables = _point_tables(n, "exact")
+        for table in tables:
+            total += 1
+            good += table.e(n + 1) == 1 and all(
+                table.qtilde_pair(i, i).is_zero() for i in range(1, n + 1))
+    detail = f"{good}/{total} points"
+    if max_n > top:
+        detail += f"; asked for ranks 1..{max_n}, the check stops at {top}"
+    return CheckOutcome("presentation_relations", good == total, detail)
 
 
 def identity_suite(max_n: int = 3, max_genus: int = 4, seed: int = 0,
@@ -199,7 +238,10 @@ def backend_suite(max_n: int = 3, max_genus: int = 4, seed: int = 0,
 
 def run_suites(names, max_n: int = 3, max_genus: int = 4, seed: int = 0,
                cases: int = 50) -> list[CheckOutcome]:
-    """Run the named suites ('identities', 'oracle', 'backends', or 'all')."""
+    """Run the named suites ('identities', 'oracle', 'backends', or 'all').
+
+    'identities' is `identity_suite` followed by the presentation relations.
+    """
     for flag, value, least in (("--max-n", max_n, 1), ("--max-genus", max_genus, 0),
                                ("--cases", cases, 1)):
         if value < least:
@@ -209,6 +251,7 @@ def run_suites(names, max_n: int = 3, max_genus: int = 4, seed: int = 0,
     for name in chosen:
         if name == "identities":
             outcomes.extend(identity_suite(max_n, max_genus, seed, cases))
+            outcomes.append(_presentation_relations(max_n))
         elif name == "oracle":
             outcomes.extend(oracle_suite(max_n, seed, cases))
         elif name == "backends":

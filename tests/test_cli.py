@@ -157,6 +157,21 @@ def test_table_skips_inadmissible_parities():
     assert [int(r.split(",")[4]) for r in lines[1:]] == [4, 16]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_refuses_a_bad_rank_before_skipping_parities(fmt, capsys):
+    # at n = -1 every genus of 2..2 has odd parity: the rank is refused all the same
+    argv = ["table", "--n", "-1", "--genus-range", "2..2", "--ell", "0", "--format", fmt]
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    message = "rank must be positive, got -1"
+    if fmt == "csv":
+        assert out == f"error USAGE: {message}\n"
+    else:
+        payload = json.loads(out)
+        assert (payload["error"], payload["message"]) == ("USAGE", message)
+        assert "rows" not in payload
+
+
 def test_table_json_round_trips_byte_identical():
     cp = run_cli("table", "--n", "2", "--genus-range", "2..4", "--ell", "-1",
                  "--format", "json")
@@ -207,6 +222,15 @@ def test_verify_identities_quick():
                  "--seed", "7", "--cases", "5")
     assert cp.returncode == 0, cp.stdout + cp.stderr
     assert "PASS twist_identity" in cp.stdout
+    assert "PASS presentation_relations (6/6 points)" in cp.stdout
+
+
+def test_verify_relations_name_their_rank_cap(capsys):
+    # the relation check stops at rank 7 (1 + 2 + ... + 64 points) and says so
+    assert main(["verify", "--suite", "identities", "--max-n", "9", "--max-genus", "1",
+                 "--cases", "1"]) == 0
+    assert ("PASS presentation_relations (254/254 points; asked for ranks 1..9, "
+            "the check stops at 7)\n") in capsys.readouterr().out
 
 
 def test_verify_seed_reproducible():
@@ -240,6 +264,7 @@ PASS twist_identity (50/50 cases)
 PASS hecke_recursion (50/50 cases)
 PASS staircase_insertion (50/50 cases)
 PASS product_consistency (50/50 cases)
+PASS presentation_relations (14/14 points)
 PASS algebra_axioms (ranks 1..3)
 PASS euler_invertible (ranks 1..3)
 PASS trace_agreement (50/50 cases)
@@ -297,6 +322,27 @@ def test_integers_longer_than_the_str_digit_cap(argv, read, capsys):
     assert len(digits) == 6021
     assert digits[:12] == "%d" % (value // 10 ** (6021 - 12))
     assert digits[-12:] == "%012d" % (value % 10 ** 12)
+
+
+@pytest.mark.parametrize("argv, exact", [
+    # the rank-one count at odd ell is 2^g: the sum overflows at g = 2000, the
+    # power S^(g-1) at g = 20000, and a 401-digit coefficient on its own
+    (["count", "--n", "1", "--genus", "2000", "--ell", "1", "--backend", "float"], 2 ** 2000),
+    (["count", "--n", "1", "--genus", "20000", "--ell", "1", "--backend", "float"], None),
+    (["count", "--n", "1", "--genus", "20000", "--ell", "1", "--backend", "both"], None),
+    (["intersect", "--n", "1", "--genus", "2", "--ell", "0", "--e", "-1",
+      "--poly", f"{10 ** 400}*a1", "--backend", "float"], 4 * 10 ** 400),
+], ids=["sum", "power", "both", "coefficient"])
+def test_float_overflow_is_a_usage_error(argv, exact, capsys):
+    # the float backend refuses a value beyond its range by name, where it
+    # used to die with an OverflowError; the exact backend still answers
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error USAGE: ") and "float backend's range" in out
+    assert "use --backend exact" in out
+    if exact is not None:
+        assert main(argv[:-1] + ["exact"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == str(exact)
 
 
 @pytest.mark.parametrize("exc, code, status", [

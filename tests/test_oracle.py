@@ -336,6 +336,10 @@ def test_cache_roundtrip(tmp_path):
     assert all(isinstance(row[4], str) for row in payload["constants"])
     reloaded = build_qh_algebra(2, cache_dir=tmp_path)
     assert reloaded.constants == built.constants
+    built.index((2, 1))  # fills the index cache, which equality ignores
+    assert reloaded == built and reloaded is not built
+    with pytest.raises(TypeError):
+        hash(built)
 
 
 def test_cache_version_mismatch_triggers_rebuild(tmp_path):
