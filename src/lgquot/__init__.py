@@ -64,6 +64,22 @@ __version__ = "0.1.0"
 # the suites of `lgquot verify`, readable without importing lgquot.verify
 SUITE_NAMES = ("identities", "oracle", "backends")
 
+# a star import resolves the oracle's names through __getattr__ below
+__all__ = [
+    "CyclotomicNumber", "ExactBackend", "FloatBackend", "IndexTuple", "NonHomogeneousError",
+    "NonIntegerValueError", "NonvanishingAssumptionError", "ParityError", "Partition",
+    "PointTable", "QHAlgebra", "SUITE_NAMES", "SchubertExpression", "SingularEulerError",
+    "SkewMatrix", "StrictPartition", "build_qh_algebra", "complete_all",
+    "cyclotomic_polynomial", "determinant", "dual_partition", "eigenvalue_check",
+    "elementary_all", "euler_phi", "expected_dimension", "filter_no_opposites",
+    "filter_unit_product", "gw_invariant", "intersection_number", "make_backend",
+    "maximal_count", "maximal_subbundle_degree", "mult_operator", "pfaffian",
+    "point_from_tuple", "qtilde", "qtilde_pair", "quantum_euler", "required_degree",
+    "root_of_unity", "root_tuples", "schur", "sqrt_two", "staircase", "strict_partitions",
+    "summation_tuples", "trace_invariant", "verify_hecke_recursion",
+    "verify_staircase_insertion", "verify_twist_identity", "working_order",
+]
+
 _ORACLE_NAMES = frozenset({
     "QHAlgebra",
     "build_qh_algebra",
@@ -85,4 +101,4 @@ def __getattr__(name: str):
 
 
 def __dir__():
-    return sorted(globals().keys() | _ORACLE_NAMES)
+    return sorted(globals().keys() | set(__all__))

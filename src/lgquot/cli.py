@@ -380,9 +380,9 @@ def cmd_table(args) -> int:
               "ell": args.ell}
 
     def compute(result):
+        _check_rank_and_genus(args.n, 0)  # a bad rank is refused, not skipped for parity
         rows = []
         for g in parse_genus_range(args.genus_range):
-            _check_rank_and_genus(args.n, g)  # before the skip: a bad rank is refused
             if not _count_is_finite(args.n, g, args.ell):
                 continue  # no finite count at this genus; row omitted
             value = _compute_with_backend(

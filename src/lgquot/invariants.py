@@ -77,14 +77,6 @@ class SchubertExpression(Frozen):
         )
         object.__setattr__(self, "terms", cleaned)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.terms,))
-
     # -- constructors ----------------------------------------------------------
 
     @classmethod

@@ -161,12 +161,6 @@ class QHAlgebra(Frozen):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "constants", constants)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.n, self.basis, self.constants)
-                    == (other.n, other.basis, other.constants))
-        return NotImplemented
-
     __hash__ = None  # constants is a dict
 
     @property

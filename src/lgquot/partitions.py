@@ -63,14 +63,6 @@ class Partition(Frozen):
     def __init__(self, parts: tuple[int, ...] = ()) -> None:
         object.__setattr__(self, "parts", _shape(parts))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
-
     @property
     def weight(self) -> int:
         return sum(self.parts)
@@ -90,14 +82,6 @@ class StrictPartition(Frozen):
             raise ValueError(f"rank must be positive, got {n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "parts", _shape(parts, strict=True, n=n))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.parts) == (other.n, other.parts)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.parts))
 
     @property
     def weight(self) -> int:
@@ -172,14 +156,6 @@ class IndexTuple(Frozen):
             raise ValueError(f"doubled entries not strictly increasing: {doubled}")
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "doubled", doubled)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.N, self.doubled) == (other.N, other.doubled)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.N, self.doubled))
 
     @property
     def staircase_sign(self) -> int:

@@ -281,14 +281,6 @@ class SkewMatrix(Frozen):
             raise ValueError("skew matrix rows must be square")
         object.__setattr__(self, "rows", rows)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rows,))
-
     @classmethod
     def from_upper(cls, size: int, entry) -> SkewMatrix:
         """Build from a callable giving the (i, j) entry for i < j."""

@@ -31,11 +31,6 @@ __all__ = ["CheckOutcome", "identity_suite", "oracle_suite", "backend_suite", "r
 # rank 5 takes about 0.6 s in-process and rank 6 about 8 s.
 ORACLE_MAX_N = 5
 
-# The relation check stops at this rank too: at every point it takes n
-# qtilde_pair values, about 0.1 s in all at rank 7, 3 s at rank 10 and 20 s
-# at rank 12.
-RELATIONS_MAX_N = 7
-
 
 class CheckOutcome(Frozen):
     """The aggregated result of one named check."""
@@ -46,15 +41,6 @@ class CheckOutcome(Frozen):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "passed", passed)
         object.__setattr__(self, "detail", detail)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.name, self.passed, self.detail)
-                    == (other.name, other.passed, other.detail))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.passed, self.detail))
 
 
 def random_monomial(rng: random.Random, n: int, degree: int) -> SchubertExpression:
@@ -108,21 +94,16 @@ def _presentation_relations(max_n: int) -> CheckOutcome:
     """E_{n+1} = 1 and qtilde_pair(i, i) = 0 for i = 1..n at every point of ranks 1..max_n.
 
     These are the relations of the rank-n presentation of the quantum ring at
-    q = 1, so every summation point must satisfy them.  Ranks above
-    RELATIONS_MAX_N are not checked, and the detail says so.
+    q = 1, so every summation point must satisfy them.
     """
-    top = min(max_n, RELATIONS_MAX_N)
     good = total = 0
-    for n in range(1, top + 1):
+    for n in range(1, max_n + 1):
         _backend, tables = _point_tables(n, "exact")
         for table in tables:
             total += 1
             good += table.e(n + 1) == 1 and all(
                 table.qtilde_pair(i, i).is_zero() for i in range(1, n + 1))
-    detail = f"{good}/{total} points"
-    if max_n > top:
-        detail += f"; asked for ranks 1..{max_n}, the check stops at {top}"
-    return CheckOutcome("presentation_relations", good == total, detail)
+    return CheckOutcome("presentation_relations", good == total, f"{good}/{total} points")
 
 
 def identity_suite(max_n: int = 3, max_genus: int = 4, seed: int = 0,

@@ -225,12 +225,11 @@ def test_verify_identities_quick():
     assert "PASS presentation_relations (6/6 points)" in cp.stdout
 
 
-def test_verify_relations_name_their_rank_cap(capsys):
-    # the relation check stops at rank 7 (1 + 2 + ... + 64 points) and says so
+def test_verify_relations_cover_every_rank(capsys):
+    # every point of ranks 1..9: 2 + 4 + ... + 512
     assert main(["verify", "--suite", "identities", "--max-n", "9", "--max-genus", "1",
                  "--cases", "1"]) == 0
-    assert ("PASS presentation_relations (254/254 points; asked for ranks 1..9, "
-            "the check stops at 7)\n") in capsys.readouterr().out
+    assert "PASS presentation_relations (1022/1022 points)\n" in capsys.readouterr().out
 
 
 def test_verify_seed_reproducible():

@@ -46,6 +46,10 @@ def test_every_exported_name_resolves():
         assert getattr(lgquot, name) is getattr(oracle, name)
     assert lgquot.SingularEulerError is oracle.SingularEulerError
     assert lgquot.SingularEulerError is cyclotomic.SingularEulerError
+    star: dict = {}
+    exec("from lgquot import *", star)
+    assert set(EXPORTED) <= star.keys()
+    assert star["build_qh_algebra"] is oracle.build_qh_algebra
 
 
 def test_unknown_attribute_raises_attribute_error():
