@@ -23,8 +23,15 @@ from functools import lru_cache
 
 from ._frozen import Frozen
 from .cyclotomic import make_backend
-from .partitions import IndexTuple, _shape, as_strict, staircase, summation_tuples
-from .symfunc import PointTable
+from .partitions import (
+    IndexTuple,
+    _shape,
+    as_strict,
+    point_orbit_members,
+    staircase,
+    summation_tuples,
+)
+from .symfunc import PointTable, _ring_staircase
 
 __all__ = [
     "ParityError",
@@ -232,7 +239,7 @@ def required_degree(n: int, g: int, insertions) -> int | None:
 
 # Largest rank each backend answers.  A query sums over 2^n points.  The exact
 # genus-0 query is the slowest, with one field inverse per point: about a
-# minute at n = 15 against 15 s for the counts.  The float point tables double
+# minute at n = 15 against 3-6 s for the counts.  The float point tables double
 # in memory with each rank (README, Conventions).
 _MAX_RANK = {"exact": 15, "float": 18}
 
@@ -258,9 +265,11 @@ def _point_tables(n: int, kind: str):
         # the points are powers of the primitive 4(n+1)-th root, itself a power
         # of the backend's root: the tables build their values in the group ring
         scale = backend.order // (4 * (n + 1))
+        schur = _orbit_staircase_values(backend, n, scale)
         tables = tuple(PointTable(backend, exponents=[d * scale for d in J.doubled],
-                                  staircase_qtilde=signed[J.staircase_sign])
-                       for J in points)
+                                  staircase_qtilde=signed[J.staircase_sign],
+                                  staircase_schur=S)
+                       for J, S in zip(points, schur))
     else:
         # the points share 2N coordinates: each root is computed once, as
         # point_from_tuple computes it
@@ -271,6 +280,32 @@ def _point_tables(n: int, kind: str):
                                   staircase_qtilde=signed[J.staircase_sign])
                        for J in points)
     return backend, tables
+
+
+def _orbit_staircase_values(backend, n: int, scale: int) -> list:
+    """The staircase Schur value at every rank-n point, one group-ring product per orbit.
+
+    With k_i = scale * d_i the exponents of a point J in Z[x]/(x^m - 1), the
+    point a*J + 4s has exponents a*k_i + c, c = 4s * scale, so its product of
+    x^(k_i) + x^(k_j) over the P = N(N-1)/2 pairs is x^(c*P) * sigma_a(S(J)),
+    with sigma_a the ring automorphism x^k -> x^(a*k) (a is a unit modulo m).
+    A member's coefficient vector is its representative's, permuted by
+    k -> a*k + c*P, and each is reduced once (README, Conventions).
+    """
+    m = backend.order
+    points = summation_tuples(n + 1)
+    pairs = n * (n + 1) // 2
+    values = [None] * len(points)
+    for rep, members in point_orbit_members(n + 1):
+        coeffs = [(k, c) for k, c in enumerate(
+            _ring_staircase(m, [d * scale % m for d in points[rep].doubled])) if c]
+        for i, a, s in members:
+            shift = 4 * s * scale * pairs
+            image = [0] * m
+            for k, c in coeffs:
+                image[(a * k + shift) % m] = c
+            values[i] = backend.from_ring(image)
+    return values
 
 
 def point_from_tuple(backend, J: IndexTuple):

@@ -29,6 +29,7 @@ __all__ = [
     "filter_unit_product",
     "summation_tuples",
     "point_orbits",
+    "point_orbit_members",
 ]
 
 
@@ -254,30 +255,47 @@ def summation_tuples(N: int) -> tuple[IndexTuple, ...]:
     return tuple(IndexTuple(N, pick) for pick in picks)
 
 
-@lru_cache(maxsize=None)
-def point_orbits(N: int) -> tuple[tuple[IndexTuple, int], ...]:
-    """Orbits of the summation points: (representative, orbit size) pairs.
+def point_orbit_members(N: int):
+    """Each orbit of the summation points, with the map that reaches each member.
 
     Two maps of doubled exponents modulo 4N keep the points admissible:
     rotation d -> d + 4, which multiplies every coordinate by a primitive N-th
     root, and the Galois maps d -> a*d for the units a modulo 4N.  Together
-    they generate the maps d -> a*d + 4s, so an orbit is the set of those
-    images of one point, each read back into the window.  The representative
-    of an orbit is its first point in `summation_tuples(N)` order.
+    they generate the maps d -> a*d + 4s.  Yields, per orbit, the index of its
+    representative in `summation_tuples(N)` and a tuple of (point index, a, s)
+    with one entry per member: the first (a, s), a ascending then s, whose map
+    sends the representative to that member.  The representative is the
+    orbit's first point in `summation_tuples(N)` order, reached by (1, 0).
+
+    A point's coordinates are pairwise distinct modulo 4N, so it is keyed by
+    the bit mask of its residues: the Galois map is applied once per unit, and
+    each rotation is a cyclic shift of that mask by 4s bits.
     """
     m = 4 * N
-    lo, _hi, _parity = _window(N)
+    full = (1 << m) - 1
+    points = summation_tuples(N)
+    index = {sum(1 << (d % m) for d in J.doubled): i for i, J in enumerate(points)}
     units = [a for a in range(1, m) if gcd(a, m) == 1]
-    seen: set[tuple[int, ...]] = set()
-    orbits = []
-    for J in summation_tuples(N):
-        if J.doubled in seen:
+    seen = bytearray(len(points))
+    for rep, J in enumerate(points):
+        if seen[rep]:
             continue
-        orbit = set()
+        members = []
         for a in units:
-            scaled = [a * d for d in J.doubled]
-            for shift in range(0, m, 4):
-                orbit.add(tuple(sorted((d + shift - lo) % m + lo for d in scaled)))
-        seen |= orbit
-        orbits.append((J, len(orbit)))
-    return tuple(orbits)
+            scaled = sum(1 << (a * d % m) for d in J.doubled)
+            for s in range(N):
+                i = index[((scaled << 4 * s) | (scaled >> (m - 4 * s))) & full]
+                if not seen[i]:
+                    seen[i] = 1
+                    members.append((i, a, s))
+        yield rep, tuple(members)
+
+
+@lru_cache(maxsize=None)
+def point_orbits(N: int) -> tuple[tuple[IndexTuple, int], ...]:
+    """Orbits of the summation points: (representative, orbit size) pairs.
+
+    The orbits and representatives of `point_orbit_members`.
+    """
+    points = summation_tuples(N)
+    return tuple((points[rep], len(members)) for rep, members in point_orbit_members(N))

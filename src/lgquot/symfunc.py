@@ -42,9 +42,12 @@ class PointTable:
     qtilde and Schur values memoized by partition.  A caller that knows the
     qtilde value of the staircase (N-1, ..., 1) in closed form passes it as
     `staircase_qtilde`; otherwise it is a Pfaffian like any other qtilde value.
+    A caller that has the staircase Schur value passes it as `staircase_schur`;
+    otherwise it is the product of x_i + x_j, formed on first use.
     """
 
-    def __init__(self, backend, values=None, exponents=None, staircase_qtilde=None):
+    def __init__(self, backend, values=None, exponents=None, staircase_qtilde=None,
+                 staircase_schur=None):
         if (values is None) == (exponents is None):
             raise TypeError("a point is given by its values or by its exponents, exactly one")
         self.backend = backend
@@ -57,7 +60,8 @@ class PointTable:
         self._top = tuple(range(self.size - 1, 0, -1))
         self._qtilde: dict[tuple[int, ...], object] = (
             {} if staircase_qtilde is None else {self._top: staircase_qtilde})
-        self._schur: dict[tuple[int, ...], object] = {}
+        self._schur: dict[tuple[int, ...], object] = (
+            {} if staircase_schur is None else {self._top: staircase_schur})
 
     @property
     def values(self) -> tuple:

@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from lgquot import invariants
 from lgquot.cyclotomic import euler_phi
 from lgquot.invariants import (
     NonHomogeneousError,
@@ -28,6 +29,7 @@ from lgquot.partitions import (
     strict_partitions,
     summation_tuples,
 )
+from lgquot.symfunc import _ring_staircase
 
 ONE = SchubertExpression.one()
 
@@ -282,6 +284,34 @@ def test_orbit_trace_sum_matches_point_sum():
                         n, g, "exact", n * (g - 1) - d, qtildes)
                     checks += 1
     assert checks == 807
+
+
+def test_orbit_staircase_values_match_the_per_point_product(monkeypatch):
+    # the exact tables form one group-ring product per point orbit and are
+    # given every point's value when built; each equals the product formed at
+    # that point's own exponents, for both orders 4(n+1) (odd n) and 8(n+1)
+    products = []
+
+    def spy(m, exponents):
+        products.append(exponents)
+        return _ring_staircase(m, exponents)
+
+    monkeypatch.setattr(invariants, "_ring_staircase", spy)
+    orders = set()
+    _point_tables.cache_clear()
+    try:
+        for n in range(1, 11):
+            products.clear()
+            backend, tables = _point_tables(n, "exact")
+            assert len(products) == len(point_orbits(n + 1))
+            orders.add(backend.order // (n + 1))
+            top = staircase(n).parts
+            for table in tables:
+                assert table._schur[top] == backend.from_ring(
+                    _ring_staircase(backend.order, table.exponents))
+    finally:
+        _point_tables.cache_clear()
+    assert orders == {4, 8}
 
 
 def test_float_tables_match_point_from_tuple():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import random
@@ -340,6 +341,18 @@ def test_cache_roundtrip(tmp_path):
     assert reloaded == built and reloaded is not built
     with pytest.raises(TypeError):
         hash(built)
+
+
+@pytest.mark.parametrize("n,digest", [
+    (1, "2999e09d9a4dfe77005007a24a81312d0b542ba4e0307bfbfdc9e744279d79dc"),
+    (2, "7444f43a21ea335bb8ec05d4b0ba400a2421f538c4b051f93971eb188256c007"),
+    (3, "986d93f521898fa02ffe14346fb26e1f4e4bc27e9f817ea687fa64491b245a84"),
+    (4, "721b588aefe1a1598088c95d53c58f1532ec4f5d680e1cfd6344ee473582df62"),
+])
+def test_cache_files_are_pinned(tmp_path, n, digest):
+    # the written file does not depend on which point represents an orbit
+    build_qh_algebra(n, cache_dir=tmp_path)
+    assert hashlib.sha256(_cache_path(n, tmp_path).read_bytes()).hexdigest() == digest
 
 
 def test_cache_version_mismatch_triggers_rebuild(tmp_path):

@@ -219,7 +219,7 @@ def test_filter_conditions_against_complex_arithmetic():
 def test_point_orbits_partition_the_points():
     # each orbit, regenerated as sets of residues mod 4N, lies among the points;
     # the orbits are disjoint and cover every point
-    for n in range(1, 9):
+    for n in range(1, 11):
         N, m = n + 1, 4 * (n + 1)
         points = {frozenset(d % m for d in J.doubled) for J in summation_tuples(N)}
         covered = set()

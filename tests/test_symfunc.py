@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from lgquot import symfunc
 from lgquot.cyclotomic import ExactBackend, FloatBackend, make_backend
 from lgquot.invariants import point_from_tuple
 from lgquot.partitions import staircase, summation_tuples
@@ -22,6 +23,7 @@ from lgquot.symfunc import (
     qtilde_pair,
     schur,
 )
+from lgquot.symfunc import _ring_staircase as ring_staircase
 
 BACKEND = ExactBackend(8)
 
@@ -312,6 +314,26 @@ def test_group_ring_tables_match_the_oracle():
             assert ring.schur(top) == jacobi_trudi
             assert [ring.e(k) for k in range(n + 2)] == elementary_all(backend, values)
             assert ring.values == values
+
+
+def test_exponent_table_takes_the_per_point_product(monkeypatch):
+    # a table given exponents but no staircase value, as built outside the
+    # formulas' point tables, forms the group-ring product at its own point
+    products = []
+
+    def spy(m, exponents):
+        products.append(exponents)
+        return ring_staircase(m, exponents)
+
+    monkeypatch.setattr(symfunc, "_ring_staircase", spy)
+    backend = make_backend("exact", 4)
+    scale = backend.order // 20
+    top = staircase(4).parts
+    points = summation_tuples(5)
+    for J in points:
+        ring = PointTable(backend, exponents=[d * scale for d in J.doubled])
+        assert ring.schur(top) == PointTable(backend, point_from_tuple(backend, J)).schur(top)
+    assert len(products) == len(points)
 
 
 def test_group_ring_table_equals_table_from_values():
