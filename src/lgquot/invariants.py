@@ -31,7 +31,7 @@ from .partitions import (
     staircase,
     summation_tuples,
 )
-from .symfunc import PointTable, _ring_staircase
+from .symfunc import PointTable, _ring_power, _ring_staircase
 
 __all__ = [
     "ParityError",
@@ -239,26 +239,37 @@ def required_degree(n: int, g: int, insertions) -> int | None:
 
 # Largest rank each backend answers.  A query sums over 2^n points.  The exact
 # genus-0 query is the slowest, with one field inverse per point: about a
-# minute at n = 15 against 3-6 s for the counts.  The float point tables double
-# in memory with each rank (README, Conventions).
+# minute at n = 15, where an exact count takes about 1 s.  The float point
+# tables double in memory with each rank (README, Conventions).
 _MAX_RANK = {"exact": 15, "float": 18}
 
 
-@lru_cache(maxsize=None)
-def _point_tables(n: int, kind: str):
-    """Backend plus one cached PointTable per admissible exponent tuple."""
+def _check_rank_limit(n: int, kind: str) -> None:
+    """Refuse a rank above the backend's limit, before any point is enumerated."""
     limit = _MAX_RANK.get(kind)
     if limit is not None and n > limit:
         raise ValueError(
             f"rank {n} is above the {kind} backend's limit of {limit}: "
             f"a query would sum over 2^{n} = {2**n} points"
         )
-    backend = make_backend(kind, n)
-    # at a summation point the staircase qtilde value is the sign of the
-    # staircase Schur value times 2^(n/2) (README, Conventions)
+
+
+def _staircase_root(backend, n: int):
+    """2^(n/2) in the backend: the staircase qtilde value at a point, up to its sign.
+
+    At a summation point that value is the sign of the staircase Schur value
+    times 2^(n/2) (README, Conventions).
+    """
     root = backend.from_fraction(2 ** (n // 2))
-    if n % 2:
-        root = root * backend.sqrt2()
+    return root * backend.sqrt2() if n % 2 else root
+
+
+@lru_cache(maxsize=None)
+def _point_tables(n: int, kind: str):
+    """Backend plus one cached PointTable per admissible exponent tuple."""
+    _check_rank_limit(n, kind)
+    backend = make_backend(kind, n)
+    root = _staircase_root(backend, n)
     signed = {1: root, -1: -root}
     points = summation_tuples(n + 1)
     if backend.name == "exact":
@@ -282,28 +293,47 @@ def _point_tables(n: int, kind: str):
     return backend, tables
 
 
+def _orbit_staircase_powers(n: int, k: int, scale: int = 1):
+    """S^k at one point of each orbit, in Z[x]/(x^m - 1), and the maps to the others.
+
+    S is the staircase Schur value and m = 4(n+1) * scale.  With k_i =
+    scale * d_i the exponents of a point J, the point a*J + 4s has exponents
+    a*k_i + c, c = 4s * scale, so its product of x^(k_i) + x^(k_j) over the
+    P = N(N-1)/2 pairs is x^(c*P) * sigma_a(S(J)), with sigma_a the ring
+    automorphism x^j -> x^(a*j) (a is a unit modulo m).  Raised to the k-th
+    power, S(a*J + 4s)^k = x^(k*c*P) * sigma_a(S(J)^k).  Yields, per orbit of
+    `point_orbit_members`, the nonzero coefficients (j, c) of S^k at the
+    representative and one (point index, a, shift) per member, shift = k*c*P
+    mod m: `_add_image` gives the member's coefficients (README, Conventions).
+    """
+    m = 4 * (n + 1) * scale
+    points = summation_tuples(n + 1)
+    pairs = n * (n + 1) // 2
+    for rep, members in point_orbit_members(n + 1):
+        power = _ring_power(
+            m, _ring_staircase(m, [d * scale % m for d in points[rep].doubled]), k)
+        yield ([(j, c) for j, c in enumerate(power) if c],
+               [(i, a, 4 * s * scale * pairs * k % m) for i, a, s in members])
+
+
+def _add_image(out: list[int], coeffs, a: int, shift: int, weight: int = 1) -> None:
+    """Add weight * x^shift * sigma_a of the element with coefficients `coeffs` to `out`."""
+    m = len(out)
+    for j, c in coeffs:
+        out[(a * j + shift) % m] += weight * c
+
+
 def _orbit_staircase_values(backend, n: int, scale: int) -> list:
     """The staircase Schur value at every rank-n point, one group-ring product per orbit.
 
-    With k_i = scale * d_i the exponents of a point J in Z[x]/(x^m - 1), the
-    point a*J + 4s has exponents a*k_i + c, c = 4s * scale, so its product of
-    x^(k_i) + x^(k_j) over the P = N(N-1)/2 pairs is x^(c*P) * sigma_a(S(J)),
-    with sigma_a the ring automorphism x^k -> x^(a*k) (a is a unit modulo m).
-    A member's coefficient vector is its representative's, permuted by
-    k -> a*k + c*P, and each is reduced once (README, Conventions).
+    Each member's coefficient vector is its representative's, permuted, and
+    each is reduced once (`_orbit_staircase_powers` with k = 1).
     """
-    m = backend.order
-    points = summation_tuples(n + 1)
-    pairs = n * (n + 1) // 2
-    values = [None] * len(points)
-    for rep, members in point_orbit_members(n + 1):
-        coeffs = [(k, c) for k, c in enumerate(
-            _ring_staircase(m, [d * scale % m for d in points[rep].doubled])) if c]
-        for i, a, s in members:
-            shift = 4 * s * scale * pairs
-            image = [0] * m
-            for k, c in coeffs:
-                image[(a * k + shift) % m] = c
+    values = [None] * 2**n
+    for coeffs, members in _orbit_staircase_powers(n, 1, scale):
+        for i, a, shift in members:
+            image = [0] * backend.order
+            _add_image(image, coeffs, a, shift)
             values[i] = backend.from_ring(image)
     return values
 
@@ -320,8 +350,49 @@ def _point_sum(n: int, g: int, backend: str, exponent: int, qtildes,
 
     S is the staircase Schur value at the point; the factors are the qtilde
     values of the partitions in `qtildes`, then the value of P if given.  This
-    is the one sum that the three formulas below share.
+    is the one sum that the three formulas below share.  An exact sum at
+    g >= 1 whose factors are all staircase qtilde values (every count, and gw
+    with staircase insertions only) is summed over point orbits in the group
+    ring (`_ring_sum`), with no point table; any other sum visits every
+    point's table (`_table_sum`).
     """
+    _check_rank_limit(n, backend)
+    top = staircase(n).parts
+    if backend == "exact" and g >= 1 and P is None and all(q == top for q in qtildes):
+        return _ring_sum(n, g, exponent, len(qtildes))
+    return _table_sum(n, g, backend, exponent, qtildes, P)
+
+
+def _ring_sum(n: int, g: int, exponent: int, staircases: int) -> int:
+    """`_point_sum` of S^(g-1) times `staircases` staircase qtilde values, exactly, g >= 1.
+
+    Each staircase qtilde value is eps * 2^(n/2), eps the point's staircase
+    sign, so the sum is (2^(n/2))^staircases times the sum of eps^staircases *
+    S^(g-1).  That sum is formed in Z[x]/(x^(4N) - 1): per orbit, S^(g-1) at
+    the representative once, then each member's image, weighted by its sign
+    and added up per map.  The total is mapped into the field and reduced once.
+    """
+    m = 4 * (n + 1)
+    points = summation_tuples(n + 1)
+    signed = staircases % 2
+    total = [0] * m
+    for coeffs, members in _orbit_staircase_powers(n, g - 1):
+        weights = Counter()
+        for i, a, shift in members:
+            weights[a, shift] += points[i].staircase_sign if signed else 1
+        for (a, shift), weight in weights.items():
+            if weight:
+                _add_image(total, coeffs, a, shift, weight)
+    eng = make_backend("exact", n)
+    embedded = [0] * eng.order
+    embedded[::eng.order // m] = total
+    value = eng.from_ring(embedded) * eng.power(_staircase_root(eng, n), staircases)
+    return eng.extract_integer(value * eng.from_fraction(Fraction(2) ** exponent))
+
+
+def _table_sum(n: int, g: int, backend: str, exponent: int, qtildes,
+               P: SchubertExpression | None = None) -> int:
+    """`_point_sum` through the point tables, one term per point."""
     eng, tables = _point_tables(n, backend)
     top = staircase(n).parts
     total = eng.zero

@@ -207,6 +207,14 @@ class _PackedRing:
         q = p << (a * self.width)
         return (q & self.mask) | (q >> self.bits)
 
+    def mul(self, p: int, q: int) -> int:
+        """p * q, when no coefficient of the product reaches 2^width."""
+        r = p * q
+        return (r & self.mask) + (r >> self.bits)
+
+    def pack(self, coeffs) -> int:
+        return sum(c << (k * self.width) for k, c in enumerate(coeffs) if c)
+
     def coeffs(self, p: int) -> list[int]:
         slot = (1 << self.width) - 1
         return [(p >> (k * self.width)) & slot for k in range(self.m)]
@@ -225,6 +233,25 @@ def _ring_staircase(m: int, exponents) -> list[int]:
         for b in exponents[i + 1:]:
             p = ring.shift(p, a) + ring.shift(p, b)
     return ring.coeffs(p)
+
+
+def _ring_power(m: int, coeffs, k: int) -> list[int]:
+    """The k-th power of an element with nonnegative coefficients, in Z[x]/(x^m - 1).
+
+    With 2^b the least power of two at or above the sum of the coefficients,
+    the expanded power has at most 2^(k*b) monomials, so no coefficient of it
+    or of a lower power reaches 2^(k*b + 1).  The staircase product has
+    2^pairs monomials, so its k-th power needs k*pairs + 1 bits a slot.
+    """
+    ring = _PackedRing(m, k * (sum(coeffs) - 1).bit_length() + 1)
+    base, result = ring.pack(coeffs), 1
+    while k:
+        if k & 1:
+            result = ring.mul(result, base)
+        k >>= 1
+        if k:
+            base = ring.mul(base, base)
+    return ring.coeffs(result)
 
 
 def _ring_elementary(m: int, exponents) -> list[list[int]]:

@@ -182,9 +182,47 @@ def test_ranks_above_backend_limit_refused_before_points():
 
 
 def test_maximal_count_agrees_with_intersection_number():
-    for n, g, ell in [(1, 2, 1), (2, 2, 0), (2, 2, -1), (2, 4, 1), (3, 2, 1), (3, 3, 0)]:
-        e = n * (ell - g + 1) // 2
-        assert maximal_count(n, g, ell) == intersection_number(n, g, ell, e, ONE)
+    # the count sums over point orbits in the group ring for g >= 1; the
+    # intersection number with P = 1 visits every point's table
+    checks = 0
+    for n in range(1, 9):
+        for g in range(7):
+            for ell in (-3, -1, 0, 1, 2):
+                if n * (ell - g + 1) % 2:
+                    continue
+                e = n * (ell - g + 1) // 2
+                assert maximal_count(n, g, ell) == intersection_number(n, g, ell, e, ONE)
+                checks += 1
+    assert checks == 212
+
+
+def test_staircase_gw_invariants_match_the_table_sum():
+    # gw with staircase insertions only takes the group-ring route at g >= 1
+    checks = 0
+    for n in range(1, 7):
+        top = staircase(n)
+        for g in range(1, 7):
+            for count in range(5):
+                d = required_degree(n, g, [top] * count)
+                if d is None:
+                    continue
+                assert gw_invariant(n, g, d, [top] * count) == invariants._table_sum(
+                    n, g, "exact", n * (g - 1) - d, [top.parts] * count)
+                checks += 1
+    assert checks == 135
+
+
+def test_exact_counts_build_no_point_tables():
+    _point_tables.cache_clear()
+    try:
+        for n, g, ell in [(4, 3, 0), (5, 2, 1), (6, 1, -1), (7, 5, 2)]:
+            maximal_count(n, g, ell)
+        gw_invariant(3, 2, 3, [staircase(3)])
+        assert _point_tables.cache_info().currsize == 0
+        maximal_count(4, 0, 1)  # genus 0 inverts S at every point's table
+        assert _point_tables.cache_info().currsize == 1
+    finally:
+        _point_tables.cache_clear()
 
 
 def test_elementary_values_built_on_first_use(monkeypatch):

@@ -23,6 +23,7 @@ from lgquot.symfunc import (
     qtilde_pair,
     schur,
 )
+from lgquot.symfunc import _ring_power as ring_power
 from lgquot.symfunc import _ring_staircase as ring_staircase
 
 BACKEND = ExactBackend(8)
@@ -334,6 +335,31 @@ def test_exponent_table_takes_the_per_point_product(monkeypatch):
         ring = PointTable(backend, exponents=[d * scale for d in J.doubled])
         assert ring.schur(top) == PointTable(backend, point_from_tuple(backend, J)).schur(top)
     assert len(products) == len(points)
+
+
+def _cyclic_product(m, p, q):
+    out = [0] * m
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[(i + j) % m] += a * b
+    return out
+
+
+def test_ring_power_matches_repeated_products():
+    rng = random.Random(5)
+    for m in (1, 4, 8, 12, 24):
+        for k in range(6):
+            coeffs = [rng.randint(0, 9) for _ in range(m)]
+            expected = [1] + [0] * (m - 1)
+            for _ in range(k):
+                expected = _cyclic_product(m, expected, coeffs)
+            assert ring_power(m, coeffs, k) == expected
+    # every monomial on one slot: the power's one coefficient fills k*pairs + 1 bits
+    for N in range(2, 7):
+        pairs = N * (N - 1) // 2
+        for k in range(5):
+            assert ring_power(4 * N, ring_staircase(4 * N, [0] * N), k) == (
+                [2 ** (k * pairs)] + [0] * (4 * N - 1))
 
 
 def test_group_ring_table_equals_table_from_values():
