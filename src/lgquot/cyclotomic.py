@@ -84,8 +84,8 @@ def _ramanujan_sums(m: int) -> tuple[int, ...]:
     the traces of the power basis; the rest serve unreduced exponents.
     """
     phi = euler_phi(m)
-    quotients = [m // gcd(k, m) for k in range(m)]
-    return tuple(_mobius(q) * phi // euler_phi(q) for q in quotients)
+    sums = {g: _mobius(m // g) * phi // euler_phi(m // g) for g in range(1, m + 1) if m % g == 0}
+    return tuple(sums[gcd(k, m)] for k in range(m))
 
 
 @lru_cache(maxsize=None)

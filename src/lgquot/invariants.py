@@ -11,8 +11,8 @@ evaluation points of rank n:
 
 Each sum runs over the 2^n admissible exponent tuples; the summand is a power
 of the staircase Schur value times qtilde values of the inserted classes.  In
-the exact backend everything stays inside one cyclotomic field and the final
-integer is extracted with a zero-residual check.
+the exact backend a count is a sum of integer traces over point orbits; other
+sums stay in one cyclotomic field, their integer taken with a zero-residual check.
 """
 
 from __future__ import annotations
@@ -20,14 +20,16 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from ._frozen import Frozen
-from .cyclotomic import make_backend
+from .cyclotomic import NonIntegerValueError, _ramanujan_sums, euler_phi, make_backend
 from .partitions import (
     IndexTuple,
     _shape,
     as_strict,
     point_orbit_members,
+    point_orbits,
     staircase,
     summation_tuples,
 )
@@ -237,31 +239,21 @@ def required_degree(n: int, g: int, insertions) -> int | None:
 # -- evaluation points -----------------------------------------------------------
 
 
-# Largest rank each backend answers.  A query sums over 2^n points.  The exact
-# genus-0 query is the slowest, with one field inverse per point: about a
-# minute at n = 15, where an exact count takes about 1 s.  The float point
-# tables double in memory with each rank (README, Conventions).
-_MAX_RANK = {"exact": 15, "float": 18}
+# Largest rank each backend answers, and exact counts (README, Conventions).  A
+# query sums over 2^n points.  The exact genus-0 query is the slowest, with one
+# field inverse per point: about a minute at n = 15.  The float point tables
+# double in memory with each rank.  An exact count sums one trace per point
+# orbit instead: (21, 3, 0) takes 8-12 s, (22, 3, 0) about 18 s.
+_MAX_RANK = {"exact": 15, "float": 18, "count": 21}
 
 
 def _check_rank_limit(n: int, kind: str) -> None:
-    """Refuse a rank above the backend's limit, before any point is enumerated."""
+    """Refuse a rank above the limit of a backend or of exact counts, before any point."""
     limit = _MAX_RANK.get(kind)
     if limit is not None and n > limit:
-        raise ValueError(
-            f"rank {n} is above the {kind} backend's limit of {limit}: "
-            f"a query would sum over 2^{n} = {2**n} points"
-        )
-
-
-def _staircase_root(backend, n: int):
-    """2^(n/2) in the backend: the staircase qtilde value at a point, up to its sign.
-
-    At a summation point that value is the sign of the staircase Schur value
-    times 2^(n/2) (README, Conventions).
-    """
-    root = backend.from_fraction(2 ** (n // 2))
-    return root * backend.sqrt2() if n % 2 else root
+        over = "traces over the orbits of " if kind == "count" else ""
+        raise ValueError(f"rank {n} is above the {kind} limit of {limit}: "
+                         f"a query would sum {over}2^{n} = {2**n} points")
 
 
 @lru_cache(maxsize=None)
@@ -269,7 +261,9 @@ def _point_tables(n: int, kind: str):
     """Backend plus one cached PointTable per admissible exponent tuple."""
     _check_rank_limit(n, kind)
     backend = make_backend(kind, n)
-    root = _staircase_root(backend, n)
+    # the staircase qtilde value at a point is its sign times 2^(n/2) (README, Conventions)
+    root = backend.from_fraction(2 ** (n // 2))
+    root = root * backend.sqrt2() if n % 2 else root
     signed = {1: root, -1: -root}
     points = summation_tuples(n + 1)
     if backend.name == "exact":
@@ -293,47 +287,26 @@ def _point_tables(n: int, kind: str):
     return backend, tables
 
 
-def _orbit_staircase_powers(n: int, k: int, scale: int = 1):
-    """S^k at one point of each orbit, in Z[x]/(x^m - 1), and the maps to the others.
-
-    S is the staircase Schur value and m = 4(n+1) * scale.  With k_i =
-    scale * d_i the exponents of a point J, the point a*J + 4s has exponents
-    a*k_i + c, c = 4s * scale, so its product of x^(k_i) + x^(k_j) over the
-    P = N(N-1)/2 pairs is x^(c*P) * sigma_a(S(J)), with sigma_a the ring
-    automorphism x^j -> x^(a*j) (a is a unit modulo m).  Raised to the k-th
-    power, S(a*J + 4s)^k = x^(k*c*P) * sigma_a(S(J)^k).  Yields, per orbit of
-    `point_orbit_members`, the nonzero coefficients (j, c) of S^k at the
-    representative and one (point index, a, shift) per member, shift = k*c*P
-    mod m: `_add_image` gives the member's coefficients (README, Conventions).
-    """
-    m = 4 * (n + 1) * scale
-    points = summation_tuples(n + 1)
-    pairs = n * (n + 1) // 2
-    for rep, members in point_orbit_members(n + 1):
-        power = _ring_power(
-            m, _ring_staircase(m, [d * scale % m for d in points[rep].doubled]), k)
-        yield ([(j, c) for j, c in enumerate(power) if c],
-               [(i, a, 4 * s * scale * pairs * k % m) for i, a, s in members])
-
-
-def _add_image(out: list[int], coeffs, a: int, shift: int, weight: int = 1) -> None:
-    """Add weight * x^shift * sigma_a of the element with coefficients `coeffs` to `out`."""
-    m = len(out)
-    for j, c in coeffs:
-        out[(a * j + shift) % m] += weight * c
-
-
 def _orbit_staircase_values(backend, n: int, scale: int) -> list:
     """The staircase Schur value at every rank-n point, one group-ring product per orbit.
 
-    Each member's coefficient vector is its representative's, permuted, and
-    each is reduced once (`_orbit_staircase_powers` with k = 1).
+    S is the product of x^(k_i) + x^(k_j) over the P pairs of a point's
+    exponents k_i = scale * d_i, in Z[x]/(x^m - 1).  The point a*J + 4s has
+    exponents a*k_i + 4s*scale, so S(a*J + 4s) = x^(4s*scale*P) * sigma_a(S(J)),
+    with sigma_a: x^j -> x^(a*j): a permutation of the coefficients, each image
+    reduced once (README, Conventions).
     """
+    m = backend.order
+    points = summation_tuples(n + 1)
+    step = 4 * scale * (n * (n + 1) // 2)
     values = [None] * 2**n
-    for coeffs, members in _orbit_staircase_powers(n, 1, scale):
-        for i, a, shift in members:
-            image = [0] * backend.order
-            _add_image(image, coeffs, a, shift)
+    for rep, members in point_orbit_members(n + 1):
+        S = _ring_staircase(m, [d * scale % m for d in points[rep].doubled])
+        coeffs = [(j, c) for j, c in enumerate(S) if c]
+        for i, a, s in members:
+            image = [0] * m
+            for j, c in coeffs:
+                image[(a * j + s * step) % m] = c
             values[i] = backend.from_ring(image)
     return values
 
@@ -352,42 +325,43 @@ def _point_sum(n: int, g: int, backend: str, exponent: int, qtildes,
     values of the partitions in `qtildes`, then the value of P if given.  This
     is the one sum that the three formulas below share.  An exact sum at
     g >= 1 whose factors are all staircase qtilde values (every count, and gw
-    with staircase insertions only) is summed over point orbits in the group
-    ring (`_ring_sum`), with no point table; any other sum visits every
-    point's table (`_table_sum`).
+    with staircase insertions only) is a sum of traces over point orbits
+    (`_trace_sum`), with no point table; any other sum visits every point's
+    table (`_table_sum`).
     """
+    # a rank-n strict partition with n parts is the staircase
+    if backend == "exact" and g >= 1 and P is None and all(len(q) == n for q in qtildes):
+        _check_rank_limit(n, "count")
+        return _trace_sum(n, g, exponent, len(qtildes))
     _check_rank_limit(n, backend)
-    top = staircase(n).parts
-    if backend == "exact" and g >= 1 and P is None and all(q == top for q in qtildes):
-        return _ring_sum(n, g, exponent, len(qtildes))
     return _table_sum(n, g, backend, exponent, qtildes, P)
 
 
-def _ring_sum(n: int, g: int, exponent: int, staircases: int) -> int:
+def _trace_sum(n: int, g: int, exponent: int, staircases: int) -> int:
     """`_point_sum` of S^(g-1) times `staircases` staircase qtilde values, exactly, g >= 1.
 
-    Each staircase qtilde value is eps * 2^(n/2), eps the point's staircase
-    sign, so the sum is (2^(n/2))^staircases times the sum of eps^staircases *
-    S^(g-1).  That sum is formed in Z[x]/(x^(4N) - 1): per orbit, S^(g-1) at
-    the representative once, then each member's image, weighted by its sign
-    and added up per map.  The total is mapped into the field and reduced once.
+    A staircase qtilde value is eps * 2^(n/2), eps the point's staircase sign,
+    so the summand is 2^(n//2 * staircases) * W, W = eps^staircases * S^(g-1)
+    times sqrt(2)^staircases for odd n.  Its degree is a multiple of n + 1, so
+    rotation leaves it unchanged and a Galois map conjugates it: the sum is
+    sum over orbits |O| * Tr(W at the representative) / phi(m), m = 4(n+1).
+    W is formed in Z[x]/(x^m - 1), where Tr(x^j) is the Ramanujan sum c_m(j);
+    sqrt(2) = x^(m/8) + x^(-m/8) stays inside the trace (README, Conventions).
     """
     m = 4 * (n + 1)
-    points = summation_tuples(n + 1)
-    signed = staircases % 2
-    total = [0] * m
-    for coeffs, members in _orbit_staircase_powers(n, g - 1):
-        weights = Counter()
-        for i, a, shift in members:
-            weights[a, shift] += points[i].staircase_sign if signed else 1
-        for (a, shift), weight in weights.items():
-            if weight:
-                _add_image(total, coeffs, a, shift, weight)
-    eng = make_backend("exact", n)
-    embedded = [0] * eng.order
-    embedded[::eng.order // m] = total
-    value = eng.from_ring(embedded) * eng.power(_staircase_root(eng, n), staircases)
-    return eng.extract_integer(value * eng.from_fraction(Fraction(2) ** exponent))
+    sums = _ramanujan_sums(m)
+    twos = exponent + n // 2 * staircases + n % 2 * (staircases // 2)
+    root = m // 8 if n % 2 and staircases % 2 else 0  # sqrt(2) = x^root + x^-root
+    trace = [sums[(j + root) % m] + sums[(j - root) % m] for j in range(m)] if root else sums
+    total = 0
+    for rep, size in point_orbits(n + 1):
+        W = _ring_power(m, _ring_staircase(m, [d % m for d in rep.doubled]), g - 1)
+        sign = rep.staircase_sign if staircases % 2 else 1
+        total += sign * size * sum(map(mul, W, trace))
+    num, den = total << max(twos, 0), euler_phi(m) << max(-twos, 0)
+    if num % den:
+        raise NonIntegerValueError(f"value is not an integer: {Fraction(num, den)}")
+    return num // den
 
 
 def _table_sum(n: int, g: int, backend: str, exponent: int, qtildes,

@@ -255,47 +255,71 @@ def summation_tuples(N: int) -> tuple[IndexTuple, ...]:
     return tuple(IndexTuple(N, pick) for pick in picks)
 
 
-def point_orbit_members(N: int):
-    """Each orbit of the summation points, with the map that reaches each member.
+def _orbit_walk(N: int, maps: bool):
+    """The orbits of the summation points under the maps d -> a*d + 4s, as pick vectors.
 
-    Two maps of doubled exponents modulo 4N keep the points admissible:
-    rotation d -> d + 4, which multiplies every coordinate by a primitive N-th
-    root, and the Galois maps d -> a*d for the units a modulo 4N.  Together
-    they generate the maps d -> a*d + 4s.  Yields, per orbit, the index of its
-    representative in `summation_tuples(N)` and a tuple of (point index, a, s)
-    with one entry per member: the first (a, s), a ascending then s, whose map
-    sends the representative to that member.  The representative is the
-    orbit's first point in `summation_tuples(N)` order, reached by (1, 0).
-
-    A point's coordinates are pairwise distinct modulo 4N, so it is keyed by
-    the bit mask of its residues: the Galois map is applied once per unit, and
-    each rotation is a cyclic shift of that mask by 4s bits.
+    Bit i of a pick vector says whether opposite pair i, (lo + 2i, lo + 2i + 2N),
+    takes its high pick.  The window sums to 0, so unit product means an even
+    number of high picks: the last bit follows from the others.  A unit a
+    modulo 4N (Galois) sends each pair to a pair, flipping the pick or not: a
+    bit permutation, applied five bits at a time, then an XOR.  Rotation d -> d + 4
+    moves every pick two pairs on and flips the two that wrap round.  Yields,
+    per orbit, its vector v of least low N-1 bits and, with `maps`, one
+    (vector, a, s) per member, the first (a, s), a then s ascending, whose map
+    sends v there; without, the orbit's size.
     """
-    m = 4 * N
-    full = (1 << m) - 1
-    points = summation_tuples(N)
-    index = {sum(1 << (d % m) for d in J.doubled): i for i, J in enumerate(points)}
-    units = [a for a in range(1, m) if gcd(a, m) == 1]
-    seen = bytearray(len(points))
-    for rep, J in enumerate(points):
-        if seen[rep]:
-            continue
-        members = []
-        for a in units:
-            scaled = sum(1 << (a * d % m) for d in J.doubled)
+    m, full, half = 4 * N, (1 << N) - 1, (1 << (N - 1)) - 1
+    lo = _window(N)[0]
+    units = []
+    for a in range(1, m):
+        if gcd(a, m) == 1:
+            # the image of pair i's low pick is pair t % N, high pick if t >= N
+            images = [(a * (lo + 2 * i) - lo) % m // 2 for i in range(N)]
+            bits = [1 << t % N for t in images]
+            tables = [[0] * (1 << min(5, N - base)) for base in range(0, N, 5)]
+            for base, table in zip(range(0, N, 5), tables):
+                for x in range(1, len(table)):
+                    table[x] = table[x & (x - 1)] | bits[base + (x & -x).bit_length() - 1]
+            flip = sum(b for b, t in zip(bits, images) if t >= N)
+            units.append((a, tables, flip))
+    seen = bytearray(half + 1)
+    i = 0
+    while (i := seen.find(0, i)) >= 0:
+        v = i | (i.bit_count() & 1) << (N - 1)
+        members = [] if maps else 0
+        for a, tables, flip in units:
+            w = flip
+            for k, table in enumerate(tables):
+                w ^= table[v >> 5 * k & 31]
             for s in range(N):
-                i = index[((scaled << 4 * s) | (scaled >> (m - 4 * s))) & full]
-                if not seen[i]:
-                    seen[i] = 1
-                    members.append((i, a, s))
-        yield rep, tuple(members)
+                if not seen[w & half]:
+                    seen[w & half] = 1
+                    if maps:
+                        members.append((w, a, s))
+                    else:
+                        members += 1
+                w = (w << 2 & full) | (w >> (N - 2) ^ 3)
+        yield v, members
+
+
+def point_orbit_members(N: int):
+    """The orbits of `_orbit_walk` by index in `summation_tuples(N)`.
+
+    Yields the representative's index and one (point index, a, s) per member.
+    """
+    lo = _window(N)[0]
+    index = {sum(1 << (d - lo) // 2 - N for d in J.doubled if d >= lo + 2 * N): i
+             for i, J in enumerate(summation_tuples(N))}
+    for v, members in _orbit_walk(N, True):
+        yield index[v], tuple((index[w], a, s) for w, a, s in members)
 
 
 @lru_cache(maxsize=None)
 def point_orbits(N: int) -> tuple[tuple[IndexTuple, int], ...]:
     """Orbits of the summation points: (representative, orbit size) pairs.
 
-    The orbits and representatives of `point_orbit_members`.
+    The orbits and representatives of `_orbit_walk`; no other point is built.
     """
-    points = summation_tuples(N)
-    return tuple((points[rep], len(members)) for rep, members in point_orbit_members(N))
+    lo = _window(N)[0]
+    return tuple((IndexTuple(N, sorted(lo + 2 * (i + N * (v >> i & 1)) for i in range(N))), size)
+                 for v, size in _orbit_walk(N, False))

@@ -224,15 +224,17 @@ def _ring_staircase(m: int, exponents) -> list[int]:
     """The product of x^a + x^b over pairs a, b of exponents, in Z[x]/(x^m - 1).
 
     Expanded, the product has 2^pairs monomials, so no coefficient reaches
-    2^(pairs + 1).
+    2^(pairs + 1).  Each factor is x^a * (1 + x^(b-a)): the powers x^a are
+    multiplied in once, at the end.
     """
     pairs = len(exponents) * (len(exponents) - 1) // 2
     ring = _PackedRing(m, pairs + 1)
-    p = 1
+    p, lead = 1, 0
     for i, a in enumerate(exponents):
         for b in exponents[i + 1:]:
-            p = ring.shift(p, a) + ring.shift(p, b)
-    return ring.coeffs(p)
+            p += ring.shift(p, (b - a) % m)
+        lead += a * (len(exponents) - 1 - i)
+    return ring.coeffs(ring.shift(p, lead % m))
 
 
 def _ring_power(m: int, coeffs, k: int) -> list[int]:

@@ -367,6 +367,23 @@ def test_run_query_reports_each_error_code(exc, code, status, capsys):
     assert "value" not in payload
 
 
+def test_count_with_a_wrong_orbit_size_fails_by_name(monkeypatch, capsys):
+    # an orbit sum that is not a whole number is a named error, not a wrong integer
+    from lgquot import invariants
+
+    orbits = invariants.point_orbits
+
+    def one_member_too_many(N):
+        (rep, size), *rest = orbits(N)
+        return ((rep, size + 1), *rest)
+
+    assert main(["count", "--n", "6", "--genus", "2", "--ell", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "219136"
+    monkeypatch.setattr(invariants, "point_orbits", one_member_too_many)
+    assert main(["count", "--n", "6", "--genus", "2", "--ell", "0"]) == 3
+    assert capsys.readouterr().out.startswith("error NONINTEGER: ")
+
+
 def test_run_query_reraises_unclassified_errors():
     def compute(result):
         raise KeyError("n")

@@ -173,8 +173,10 @@ def test_maximal_count_parity_error():
 
 
 def test_ranks_above_backend_limit_refused_before_points():
-    with pytest.raises(ValueError, match=r"limit of 15: .* 2\^16 = 65536 points"):
-        maximal_count(16, 3, 0)
+    with pytest.raises(ValueError, match=r"count limit of 21: .* orbits of 2\^22 = 4194304 points"):
+        maximal_count(22, 3, 0)
+    with pytest.raises(ValueError, match=r"exact limit of 15: .* 2\^16 = 65536 points"):
+        gw_invariant(16, 1, 1, [(1,)] * 17)
     with pytest.raises(ValueError, match=r"limit of 18: .* 2\^19 = 524288 points"):
         gw_invariant(19, 1, 0, [], "float")
     with pytest.raises(ValueError, match="limit of 15"):
@@ -182,18 +184,18 @@ def test_ranks_above_backend_limit_refused_before_points():
 
 
 def test_maximal_count_agrees_with_intersection_number():
-    # the count sums over point orbits in the group ring for g >= 1; the
-    # intersection number with P = 1 visits every point's table
+    # the count sums traces over point orbits for g >= 1; the intersection
+    # number with P = 1 visits every point's table (`_table_sum`)
     checks = 0
-    for n in range(1, 9):
-        for g in range(7):
-            for ell in (-3, -1, 0, 1, 2):
+    for n in range(1, 10):
+        for g in range(n == 9, 7):  # genus 0 inverts S at every point, slow at rank 9
+            for ell in range(-3, 4):
                 if n * (ell - g + 1) % 2:
                     continue
                 e = n * (ell - g + 1) // 2
                 assert maximal_count(n, g, ell) == intersection_number(n, g, ell, e, ONE)
                 checks += 1
-    assert checks == 212
+    assert checks == 317
 
 
 def test_staircase_gw_invariants_match_the_table_sum():
@@ -214,11 +216,13 @@ def test_staircase_gw_invariants_match_the_table_sum():
 
 def test_exact_counts_build_no_point_tables():
     _point_tables.cache_clear()
+    points = summation_tuples.cache_info()
     try:
-        for n, g, ell in [(4, 3, 0), (5, 2, 1), (6, 1, -1), (7, 5, 2)]:
+        for n, g, ell in [(4, 3, 0), (5, 2, 1), (6, 1, -1), (7, 5, 2), (16, 2, 0)]:
             maximal_count(n, g, ell)
         gw_invariant(3, 2, 3, [staircase(3)])
-        assert _point_tables.cache_info().currsize == 0
+        assert _point_tables.cache_info() == (0, 0, None, 0)
+        assert summation_tuples.cache_info() == points
         maximal_count(4, 0, 1)  # genus 0 inverts S at every point's table
         assert _point_tables.cache_info().currsize == 1
     finally:

@@ -219,11 +219,13 @@ def test_filter_conditions_against_complex_arithmetic():
 def test_point_orbits_partition_the_points():
     # each orbit, regenerated as sets of residues mod 4N, lies among the points;
     # the orbits are disjoint and cover every point
-    for n in range(1, 11):
+    for n in range(1, 13):
         N, m = n + 1, 4 * (n + 1)
         points = {frozenset(d % m for d in J.doubled) for J in summation_tuples(N)}
+        tuples = set(summation_tuples(N))
         covered = set()
         for rep, size in point_orbits(N):
+            assert rep in tuples
             orbit = {
                 frozenset((a * d + shift) % m for d in rep.doubled)
                 for a in range(1, m) if gcd(a, m) == 1

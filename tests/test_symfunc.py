@@ -360,6 +360,17 @@ def test_ring_power_matches_repeated_products():
         for k in range(5):
             assert ring_power(4 * N, ring_staircase(4 * N, [0] * N), k) == (
                 [2 ** (k * pairs)] + [0] * (4 * N - 1))
+    # the staircase product at exponents that need not sum to 0 modulo m
+    for m, N in ((8, 3), (12, 5), (24, 6), (24, 7)):
+        exponents = [rng.randrange(m) for _ in range(N)]
+        expected = [1] + [0] * (m - 1)
+        for i, a in enumerate(exponents):
+            for b in exponents[i + 1:]:
+                factor = [0] * m
+                factor[a] += 1
+                factor[b] += 1
+                expected = _cyclic_product(m, expected, factor)
+        assert ring_staircase(m, exponents) == expected
 
 
 def test_group_ring_table_equals_table_from_values():
