@@ -1,24 +1,19 @@
 """Exact Gromov-Witten invariants, Quot-scheme intersection numbers, and
 maximal-subbundle counts for Lagrangian Grassmannians over curves.
 
-The oracle's names (`build_qh_algebra`, `trace_invariant`, `QHAlgebra`, ...)
-load `lgquot.oracle` on first use, so a process that only counts never
-imports it.
+The names of the cyclotomic field, the point tables and the oracle
+(`CyclotomicNumber`, `PointTable`, `build_qh_algebra`, ...) load their module
+on first use, so `import lgquot`, and a process that only counts exactly at
+genus >= 1, imports none of `lgquot.cyclotomic`, `lgquot.symfunc` and
+`lgquot.oracle`.
 """
 
-from .cyclotomic import (
-    CyclotomicNumber,
-    ExactBackend,
-    FloatBackend,
+from ._ring import (
     NonIntegerValueError,
     NonvanishingAssumptionError,
+    OrbitSizeError,
     SingularEulerError,
-    cyclotomic_polynomial,
     euler_phi,
-    make_backend,
-    root_of_unity,
-    sqrt_two,
-    working_order,
 )
 from .invariants import (
     NonHomogeneousError,
@@ -47,29 +42,18 @@ from .partitions import (
     strict_partitions,
     summation_tuples,
 )
-from .symfunc import (
-    PointTable,
-    SkewMatrix,
-    complete_all,
-    determinant,
-    elementary_all,
-    pfaffian,
-    qtilde,
-    qtilde_pair,
-    schur,
-)
 
 __version__ = "0.1.0"
 
 # the suites of `lgquot verify`, readable without importing lgquot.verify
 SUITE_NAMES = ("identities", "oracle", "backends")
 
-# a star import resolves the oracle's names through __getattr__ below
+# a star import resolves the lazy names through __getattr__ below
 __all__ = [
     "CyclotomicNumber", "ExactBackend", "FloatBackend", "IndexTuple", "NonHomogeneousError",
-    "NonIntegerValueError", "NonvanishingAssumptionError", "ParityError", "Partition",
-    "PointTable", "QHAlgebra", "SUITE_NAMES", "SchubertExpression", "SingularEulerError",
-    "SkewMatrix", "StrictPartition", "build_qh_algebra", "complete_all",
+    "NonIntegerValueError", "NonvanishingAssumptionError", "OrbitSizeError", "ParityError",
+    "Partition", "PointTable", "QHAlgebra", "SUITE_NAMES", "SchubertExpression",
+    "SingularEulerError", "SkewMatrix", "StrictPartition", "build_qh_algebra", "complete_all",
     "cyclotomic_polynomial", "determinant", "dual_partition", "eigenvalue_check",
     "elementary_all", "euler_phi", "expected_dimension", "filter_no_opposites",
     "filter_unit_product", "gw_invariant", "intersection_number", "make_backend",
@@ -80,24 +64,29 @@ __all__ = [
     "verify_staircase_insertion", "verify_twist_identity", "working_order",
 ]
 
-_ORACLE_NAMES = frozenset({
-    "QHAlgebra",
-    "build_qh_algebra",
-    "eigenvalue_check",
-    "mult_operator",
-    "quantum_euler",
-    "trace_invariant",
-})
+# the names resolved on first use (PEP 562), each with the module that defines
+# it; the two modules of the field and the tables are attributes as well
+_LAZY = {
+    "cyclotomic": "cyclotomic",
+    "symfunc": "symfunc",
+    **dict.fromkeys(("CyclotomicNumber", "ExactBackend", "FloatBackend", "cyclotomic_polynomial",
+                     "make_backend", "root_of_unity", "sqrt_two", "working_order"), "cyclotomic"),
+    **dict.fromkeys(("PointTable", "SkewMatrix", "complete_all", "determinant", "elementary_all",
+                     "pfaffian", "qtilde", "qtilde_pair", "schur"), "symfunc"),
+    **dict.fromkeys(("QHAlgebra", "build_qh_algebra", "eigenvalue_check", "mult_operator",
+                     "quantum_euler", "trace_invariant"), "oracle"),
+}
 
 
 def __getattr__(name: str):
-    """Resolve an oracle name on first use (PEP 562)."""
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        value = globals()[name] = getattr(oracle, name)
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """Resolve a name of the field, the point tables or the oracle on first use."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # with a fromlist, __import__ returns the submodule itself (importlib is not loaded yet)
+    source = __import__(f"{__name__}.{module}", fromlist=(name,))
+    value = globals()[name] = source if name == module else getattr(source, name)
+    return value
 
 
 def __dir__():

@@ -14,7 +14,17 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, lcm, prod, sqrt
+from math import gcd, lcm, sqrt
+
+from ._ring import (  # noqa: F401 (re-exported)
+    NonIntegerValueError,
+    NonvanishingAssumptionError,
+    SingularEulerError,
+    _factorize,
+    _mobius,
+    _ramanujan_sums,
+    euler_phi,
+)
 
 __all__ = [
     "NonIntegerValueError",
@@ -30,62 +40,6 @@ __all__ = [
     "FloatBackend",
     "make_backend",
 ]
-
-
-class NonIntegerValueError(ValueError):
-    """An extraction expected an integer (or rational) but found a residual part."""
-
-    def __init__(self, message: str, value=None):
-        super().__init__(message)
-        self.value = value
-
-
-class NonvanishingAssumptionError(ZeroDivisionError):
-    """A quantity the formulas assume to be nonzero turned out to vanish."""
-
-
-class SingularEulerError(ArithmeticError):
-    """The quantum Euler operator is not invertible (semisimplicity failed)."""
-
-
-def _factorize(m: int) -> dict[int, int]:
-    """The prime factorization of m >= 1 as {prime: exponent}."""
-    factors, p = {}, 2
-    while p * p <= m:
-        while m % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        factors[m] = 1
-    return factors
-
-
-def euler_phi(m: int) -> int:
-    """Euler's totient of m."""
-    if m < 1:
-        raise ValueError(f"order must be positive, got {m}")
-    return prod(p ** (e - 1) * (p - 1) for p, e in _factorize(m).items())
-
-
-def _mobius(m: int) -> int:
-    """The Moebius function of m >= 1."""
-    exponents = _factorize(m).values()
-    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
-
-
-@lru_cache(maxsize=None)
-def _ramanujan_sums(m: int) -> tuple[int, ...]:
-    """The traces Tr(zeta^k) for every residue k < m: Ramanujan sums.
-
-    c_m(k) = sum of zeta^(a*k) over the units a modulo m
-    = mu(m/g) * phi(m) / phi(m/g) with g = gcd(k, m) (Washington,
-    Introduction to Cyclotomic Fields, ch. 2).  The first phi(m) entries are
-    the traces of the power basis; the rest serve unreduced exponents.
-    """
-    phi = euler_phi(m)
-    sums = {g: _mobius(m // g) * phi // euler_phi(m // g) for g in range(1, m + 1) if m % g == 0}
-    return tuple(sums[gcd(k, m)] for k in range(m))
 
 
 @lru_cache(maxsize=None)

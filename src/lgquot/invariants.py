@@ -23,7 +23,14 @@ from functools import lru_cache
 from operator import mul
 
 from ._frozen import Frozen
-from .cyclotomic import NonIntegerValueError, _ramanujan_sums, euler_phi, make_backend
+from ._ring import (
+    NonIntegerValueError,
+    OrbitSizeError,
+    _ramanujan_sums,
+    _ring_power,
+    _ring_staircase,
+    euler_phi,
+)
 from .partitions import (
     IndexTuple,
     _shape,
@@ -33,7 +40,6 @@ from .partitions import (
     staircase,
     summation_tuples,
 )
-from .symfunc import PointTable, _ring_power, _ring_staircase
 
 __all__ = [
     "ParityError",
@@ -182,8 +188,8 @@ class SchubertExpression(Frozen):
     def max_part(self) -> int:
         return max((f[0] for _, factors in self.terms for f in factors), default=0)
 
-    def evaluate(self, table: PointTable):
-        """Value at one evaluation point, through the point's qtilde cache."""
+    def evaluate(self, table):
+        """Value at one evaluation point, through the qtilde cache of its PointTable."""
         backend = table.backend
         total = backend.zero
         for coeff, factors in self.terms:
@@ -258,7 +264,14 @@ def _check_rank_limit(n: int, kind: str) -> None:
 
 @lru_cache(maxsize=None)
 def _point_tables(n: int, kind: str):
-    """Backend plus one cached PointTable per admissible exponent tuple."""
+    """Backend plus one cached PointTable per admissible exponent tuple.
+
+    The field and the tables load here, on the first table built: an exact
+    count never builds one (`_trace_sum`).
+    """
+    from .cyclotomic import make_backend
+    from .symfunc import PointTable
+
     _check_rank_limit(n, kind)
     backend = make_backend(kind, n)
     # the staircase qtilde value at a point is its sign times 2^(n/2) (README, Conventions)
@@ -347,14 +360,19 @@ def _trace_sum(n: int, g: int, exponent: int, staircases: int) -> int:
     sum over orbits |O| * Tr(W at the representative) / phi(m), m = 4(n+1).
     W is formed in Z[x]/(x^m - 1), where Tr(x^j) is the Ramanujan sum c_m(j);
     sqrt(2) = x^(m/8) + x^(-m/8) stays inside the trace (README, Conventions).
+    Orbit sizes that do not add up to 2^n raise OrbitSizeError.
     """
     m = 4 * (n + 1)
     sums = _ramanujan_sums(m)
     twos = exponent + n // 2 * staircases + n % 2 * (staircases // 2)
     root = m // 8 if n % 2 and staircases % 2 else 0  # sqrt(2) = x^root + x^-root
     trace = [sums[(j + root) % m] + sums[(j - root) % m] for j in range(m)] if root else sums
+    orbits = point_orbits(n + 1)
+    points = sum(size for _, size in orbits)
+    if points != 2**n:  # the integrality check below misses most such errors
+        raise OrbitSizeError(f"the point orbits of rank {n} hold {points} points, not 2^{n}")
     total = 0
-    for rep, size in point_orbits(n + 1):
+    for rep, size in orbits:
         W = _ring_power(m, _ring_staircase(m, [d % m for d in rep.doubled]), g - 1)
         sign = rep.staircase_sign if staircases % 2 else 1
         total += sign * size * sum(map(mul, W, trace))

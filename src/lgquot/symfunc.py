@@ -12,6 +12,7 @@ is reused across many partition labels.
 from __future__ import annotations
 
 from ._frozen import Frozen
+from ._ring import _PackedRing, _ring_power, _ring_staircase  # noqa: F401 (re-exported)
 from .partitions import _shape
 
 __all__ = [
@@ -185,75 +186,6 @@ class PointTable:
             for y in self.values[i + 1:]:
                 value = value * (x + y)
         return value
-
-
-class _PackedRing:
-    """Z[x]/(x^m - 1) for elements with nonnegative coefficients below 2^width.
-
-    An element is one Python integer holding coefficient k in bits
-    k*width .. (k+1)*width - 1, so multiplying by x^a is a cyclic shift of the
-    integer and adding two elements adds their coefficients.
-    """
-
-    __slots__ = ("m", "width", "bits", "mask")
-
-    def __init__(self, m: int, width: int):
-        self.m, self.width = m, width
-        self.bits = m * width
-        self.mask = (1 << self.bits) - 1
-
-    def shift(self, p: int, a: int) -> int:
-        """x^a * p, for 0 <= a < m."""
-        q = p << (a * self.width)
-        return (q & self.mask) | (q >> self.bits)
-
-    def mul(self, p: int, q: int) -> int:
-        """p * q, when no coefficient of the product reaches 2^width."""
-        r = p * q
-        return (r & self.mask) + (r >> self.bits)
-
-    def pack(self, coeffs) -> int:
-        return sum(c << (k * self.width) for k, c in enumerate(coeffs) if c)
-
-    def coeffs(self, p: int) -> list[int]:
-        slot = (1 << self.width) - 1
-        return [(p >> (k * self.width)) & slot for k in range(self.m)]
-
-
-def _ring_staircase(m: int, exponents) -> list[int]:
-    """The product of x^a + x^b over pairs a, b of exponents, in Z[x]/(x^m - 1).
-
-    Expanded, the product has 2^pairs monomials, so no coefficient reaches
-    2^(pairs + 1).  Each factor is x^a * (1 + x^(b-a)): the powers x^a are
-    multiplied in once, at the end.
-    """
-    pairs = len(exponents) * (len(exponents) - 1) // 2
-    ring = _PackedRing(m, pairs + 1)
-    p, lead = 1, 0
-    for i, a in enumerate(exponents):
-        for b in exponents[i + 1:]:
-            p += ring.shift(p, (b - a) % m)
-        lead += a * (len(exponents) - 1 - i)
-    return ring.coeffs(ring.shift(p, lead % m))
-
-
-def _ring_power(m: int, coeffs, k: int) -> list[int]:
-    """The k-th power of an element with nonnegative coefficients, in Z[x]/(x^m - 1).
-
-    With 2^b the least power of two at or above the sum of the coefficients,
-    the expanded power has at most 2^(k*b) monomials, so no coefficient of it
-    or of a lower power reaches 2^(k*b + 1).  The staircase product has
-    2^pairs monomials, so its k-th power needs k*pairs + 1 bits a slot.
-    """
-    ring = _PackedRing(m, k * (sum(coeffs) - 1).bit_length() + 1)
-    base, result = ring.pack(coeffs), 1
-    while k:
-        if k & 1:
-            result = ring.mul(result, base)
-        k >>= 1
-        if k:
-            base = ring.mul(base, base)
-    return ring.coeffs(result)
 
 
 def _ring_elementary(m: int, exponents) -> list[list[int]]:

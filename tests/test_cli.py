@@ -8,6 +8,7 @@ import pytest
 
 from lgquot import cli
 from lgquot.cli import CLIParseError, main, parse_genus_range, parse_partition_list, parse_poly
+from lgquot._ring import OrbitSizeError
 from lgquot.cyclotomic import NonIntegerValueError, NonvanishingAssumptionError
 from lgquot.invariants import NonHomogeneousError, ParityError, SchubertExpression
 from lgquot.oracle import SingularEulerError
@@ -354,6 +355,7 @@ def test_float_overflow_is_a_usage_error(argv, exact, capsys):
     (NonvanishingAssumptionError("inverting zero"), "NONVANISHING", 3),
     (SingularEulerError("Euler operator not invertible"), "SINGULAR_EULER", 3),
     (cli.BackendMismatchError("backends disagree"), "BACKEND_MISMATCH", 3),
+    (OrbitSizeError("the point orbits hold 65 points"), "ORBIT_SIZE", 3),
 ])
 def test_run_query_reports_each_error_code(exc, code, status, capsys):
     def compute(result):
@@ -368,7 +370,9 @@ def test_run_query_reports_each_error_code(exc, code, status, capsys):
 
 
 def test_count_with_a_wrong_orbit_size_fails_by_name(monkeypatch, capsys):
-    # an orbit sum that is not a whole number is a named error, not a wrong integer
+    # orbit sizes that do not add up to 2^n are a named error, not a wrong
+    # integer: the integrality check caught (6, 2, 0), but the other three
+    # printed a wrong count with exit 0
     from lgquot import invariants
 
     orbits = invariants.point_orbits
@@ -377,11 +381,16 @@ def test_count_with_a_wrong_orbit_size_fails_by_name(monkeypatch, capsys):
         (rep, size), *rest = orbits(N)
         return ((rep, size + 1), *rest)
 
-    assert main(["count", "--n", "6", "--genus", "2", "--ell", "0"]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == "219136"
-    monkeypatch.setattr(invariants, "point_orbits", one_member_too_many)
-    assert main(["count", "--n", "6", "--genus", "2", "--ell", "0"]) == 3
-    assert capsys.readouterr().out.startswith("error NONINTEGER: ")
+    for n, g, ell, value in [(6, 2, 0, 219136), (4, 3, 0, 182016), (5, 3, 0, 24289280),
+                             (3, 2, 1, 128)]:
+        argv = ["count", "--n", str(n), "--genus", str(g), "--ell", str(ell)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[0] == str(value)
+        with monkeypatch.context() as patch:
+            patch.setattr(invariants, "point_orbits", one_member_too_many)
+            assert main(argv) == 3
+        assert capsys.readouterr().out == (
+            f"error ORBIT_SIZE: the point orbits of rank {n} hold {2**n + 1} points, not 2^{n}\n")
 
 
 def test_run_query_reraises_unclassified_errors():

@@ -1,5 +1,5 @@
-"""The package surface: lazily loaded oracle names, what a CLI process imports,
-and the immutable value classes."""
+"""The package surface: lazily loaded names, what a CLI process imports and
+when, and the immutable value classes."""
 
 import copy
 import json
@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import lgquot
-from lgquot import cli, cyclotomic
+from lgquot import _ring, cli, cyclotomic, symfunc
 from lgquot.invariants import SchubertExpression
 from lgquot.partitions import IndexTuple, Partition, StrictPartition, summation_tuples
 from lgquot.symfunc import SkewMatrix
@@ -22,9 +22,9 @@ SRC = str(Path(lgquot.__file__).resolve().parents[1])
 
 EXPORTED = [
     "CyclotomicNumber", "ExactBackend", "FloatBackend", "IndexTuple", "NonHomogeneousError",
-    "NonIntegerValueError", "NonvanishingAssumptionError", "ParityError", "Partition",
-    "PointTable", "QHAlgebra", "SchubertExpression", "SingularEulerError", "SkewMatrix",
-    "StrictPartition", "build_qh_algebra", "complete_all", "cyclotomic_polynomial",
+    "NonIntegerValueError", "NonvanishingAssumptionError", "OrbitSizeError", "ParityError",
+    "Partition", "PointTable", "QHAlgebra", "SchubertExpression", "SingularEulerError",
+    "SkewMatrix", "StrictPartition", "build_qh_algebra", "complete_all", "cyclotomic_polynomial",
     "determinant", "dual_partition", "eigenvalue_check", "elementary_all", "euler_phi",
     "expected_dimension", "filter_no_opposites", "filter_unit_product", "gw_invariant",
     "intersection_number", "make_backend", "maximal_count", "maximal_subbundle_degree",
@@ -46,6 +46,8 @@ def test_every_exported_name_resolves():
         assert getattr(lgquot, name) is getattr(oracle, name)
     assert lgquot.SingularEulerError is oracle.SingularEulerError
     assert lgquot.SingularEulerError is cyclotomic.SingularEulerError
+    assert lgquot.OrbitSizeError is _ring.OrbitSizeError
+    assert lgquot.pfaffian is symfunc.pfaffian and lgquot.make_backend is cyclotomic.make_backend
     star: dict = {}
     exec("from lgquot import *", star)
     assert set(EXPORTED) <= star.keys()
@@ -58,29 +60,88 @@ def test_unknown_attribute_raises_attribute_error():
     assert not hasattr(lgquot, "mat_inverse")  # an oracle name the package never exported
 
 
-LEAN = ("lgquot.oracle", "lgquot.verify", "dataclasses")
+LEAN = ("lgquot.cyclotomic", "lgquot.symfunc", "lgquot.oracle", "lgquot.verify", "dataclasses")
+TABLES = ["lgquot.cyclotomic", "lgquot.symfunc"]
+
+COUNT = ["count", "--n", "8", "--genus", "3", "--ell", "0"]
+COUNT_BOTH = ["count", "--n", "2", "--genus", "2", "--ell", "0", "--backend", "both"]
+COUNT_FLOAT = ["count", "--n", "4", "--genus", "2", "--ell", "0", "--backend", "float"]
+GW = ["gw", "--n", "2", "--genus", "0", "--degree", "0", "--partitions", "1;1;1"]
+INTERSECT = ["intersect", "--n", "2", "--genus", "2", "--ell", "0", "--e", "-2", "--poly", "a1^3"]
+TABLE = ["table", "--n", "2", "--genus-range", "2..4", "--ell", "0"]
+VERIFY = ["verify", "--suite", "oracle", "--max-n", "1"]
+
+
+def _run_script(script: str, tmp_path) -> list:
+    """Run `script` under -S, so that sys.modules holds what it loaded; its last line of JSON."""
+    cp = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                        env={**os.environ, "LGQ_CACHE_DIR": str(tmp_path)})
+    assert cp.returncode == 0, cp.stderr
+    return json.loads(cp.stdout.splitlines()[-1])
+
+
+def test_import_loads_neither_the_tables_nor_the_oracle(tmp_path):
+    script = (
+        f"import json, sys; sys.path.insert(0, {SRC!r}); import lgquot; "
+        f"loaded = [m for m in {LEAN!r} if m in sys.modules]; "
+        f"lgquot.symfunc.PointTable(lgquot.cyclotomic.FloatBackend(), (1, -1)); "
+        f"print(json.dumps([loaded, [m for m in {LEAN!r} if m in sys.modules]]))"
+    )
+    assert _run_script(script, tmp_path) == [[], TABLES]
 
 
 @pytest.mark.parametrize("argv, loaded", [
-    (["count", "--n", "8", "--genus", "3", "--ell", "0"], []),
-    (["count", "--n", "2", "--genus", "2", "--ell", "0", "--backend", "both"], []),
-    (["gw", "--n", "2", "--genus", "0", "--degree", "0", "--partitions", "1;1;1"], []),
-    (["intersect", "--n", "2", "--genus", "2", "--ell", "0", "--e", "-2", "--poly", "a1^3"], []),
-    (["table", "--n", "2", "--genus-range", "2..4", "--ell", "0"], []),
-    (["verify", "--suite", "oracle", "--max-n", "1"], ["lgquot.oracle", "lgquot.verify"]),
+    (COUNT, []),
+    (COUNT_BOTH, TABLES),
+    (GW, TABLES),
+    (INTERSECT, TABLES),
+    (TABLE, []),
+    (VERIFY, TABLES + ["lgquot.oracle", "lgquot.verify"]),
 ], ids=["count", "count-both", "gw", "intersect", "table", "verify"])
 def test_cli_process_imports_only_what_it_runs(argv, loaded, tmp_path):
-    # -S: the site module imports nothing, so sys.modules holds what the CLI loaded
     script = (
         f"import json, sys; sys.path.insert(0, {SRC!r}); "
         f"from lgquot.cli import main; code = main({argv!r}); "
         f"print(json.dumps([code, [m for m in {LEAN!r} if m in sys.modules]]))"
     )
-    cp = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
-                        env={**os.environ, "LGQ_CACHE_DIR": str(tmp_path)})
-    assert cp.returncode == 0, cp.stderr
-    code, modules = json.loads(cp.stdout.splitlines()[-1])
-    assert (code, modules) == (0, loaded)
+    assert _run_script(script, tmp_path) == [0, loaded]
+
+
+# Each command loads what its query runs before the clock starts, so that
+# elapsed_ms times the query alone.  An exact count or table at genus 0 is the
+# exception: it takes the table path and loads the field and the tables while
+# timed, as no other exact count does.
+_TIMED = """
+import json, sys
+sys.path.insert(0, {src!r})
+from lgquot import cli
+
+run_query, seen = cli._run_query, []
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "lgquot" or m.startswith("lgquot."))
+
+def timed(params, backend, fmt, compute, *rest):
+    def watched(result):
+        seen.append(loaded())
+        try:
+            return compute(result)
+        finally:
+            seen.append(loaded())
+    return run_query(params, backend, fmt, watched, *rest)
+
+cli._run_query = timed
+code = cli.main({argv!r})
+print(json.dumps([code, seen]))
+"""
+
+
+@pytest.mark.parametrize("argv", [COUNT, COUNT_FLOAT, GW, INTERSECT, TABLE, VERIFY],
+                         ids=["count", "count-float", "gw", "intersect", "table", "verify"])
+def test_no_module_loads_while_a_query_is_timed(argv, tmp_path):
+    code, (started, stopped) = _run_script(_TIMED.format(src=SRC, argv=argv), tmp_path)
+    assert code == 0
+    assert started == stopped
 
 
 # -- the value classes ------------------------------------------------------------------------
