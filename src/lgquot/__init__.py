@@ -1,11 +1,11 @@
 """Exact Gromov-Witten invariants, Quot-scheme intersection numbers, and
 maximal-subbundle counts for Lagrangian Grassmannians over curves.
 
-The names of the cyclotomic field, the point tables and the oracle
-(`CyclotomicNumber`, `PointTable`, `build_qh_algebra`, ...) load their module
-on first use, so `import lgquot`, and a process that only counts exactly at
-genus >= 1, imports none of `lgquot.cyclotomic`, `lgquot.symfunc` and
-`lgquot.oracle`.
+The names of the cyclotomic field, the float backend, the point tables and
+the oracle (`CyclotomicNumber`, `FloatBackend`, `PointTable`,
+`build_qh_algebra`, ...) load their module on first use, so `import lgquot`,
+and a process that only counts, exactly at genus >= 1 or in floats, imports
+none of `lgquot.cyclotomic`, `lgquot.symfunc` and `lgquot.oracle`.
 """
 
 from ._ring import (
@@ -69,8 +69,9 @@ __all__ = [
 _LAZY = {
     "cyclotomic": "cyclotomic",
     "symfunc": "symfunc",
-    **dict.fromkeys(("CyclotomicNumber", "ExactBackend", "FloatBackend", "cyclotomic_polynomial",
-                     "make_backend", "root_of_unity", "sqrt_two", "working_order"), "cyclotomic"),
+    "FloatBackend": "_float",
+    **dict.fromkeys(("CyclotomicNumber", "ExactBackend", "cyclotomic_polynomial", "make_backend",
+                     "root_of_unity", "sqrt_two", "working_order"), "cyclotomic"),
     **dict.fromkeys(("PointTable", "SkewMatrix", "complete_all", "determinant", "elementary_all",
                      "pfaffian", "qtilde", "qtilde_pair", "schur"), "symfunc"),
     **dict.fromkeys(("QHAlgebra", "build_qh_algebra", "eigenvalue_check", "mult_operator",
@@ -79,7 +80,7 @@ _LAZY = {
 
 
 def __getattr__(name: str):
-    """Resolve a name of the field, the point tables or the oracle on first use."""
+    """Resolve a name of the field, the float backend, the tables or the oracle on first use."""
     module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

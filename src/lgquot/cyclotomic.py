@@ -1,4 +1,5 @@
-"""Exact arithmetic in cyclotomic fields, with a floating complex twin backend.
+"""Exact arithmetic in cyclotomic fields; the floating complex twin backend is
+re-exported from `lgquot._float`.
 
 A value of order M is a vector of rational coefficients over the power basis
 1, zeta, ..., zeta^(phi(M)-1), kept fully reduced modulo the M-th cyclotomic
@@ -14,8 +15,9 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, lcm, sqrt
+from math import gcd, lcm
 
+from ._float import FloatBackend, _beyond_float_range  # noqa: F401 (re-exported)
 from ._ring import (  # noqa: F401 (re-exported)
     NonIntegerValueError,
     NonvanishingAssumptionError,
@@ -352,71 +354,6 @@ class ExactBackend:
 
     def pivot_weight(self, value) -> float:
         return 0.0 if value.is_zero() else 1.0
-
-
-def _beyond_float_range() -> ValueError:
-    return ValueError("a value is beyond the float backend's range (magnitudes up to "
-                      "about 1.8e308); use --backend exact")
-
-
-class FloatBackend:
-    """Approximate twin backend: values are Python complex numbers.
-
-    A value beyond the range of a float raises ValueError, which the CLI
-    reports as USAGE, instead of an OverflowError or an infinite sum.
-    """
-
-    name = "float"
-    integer_tolerance = 1e-6
-    zero_tolerance = 1e-9
-
-    zero = 0j
-    one = 1 + 0j
-
-    def from_fraction(self, value) -> complex:
-        value = Fraction(value)
-        try:
-            return complex(value.numerator / value.denominator)
-        except OverflowError:
-            raise _beyond_float_range() from None
-
-    def root_of_unity(self, order: int, k: int) -> complex:
-        return cmath.exp(2j * cmath.pi * k / order)
-
-    def sqrt2(self) -> complex:
-        return complex(sqrt(2.0))
-
-    def power(self, value: complex, exponent: int) -> complex:
-        if exponent < 0 and self.is_zero(value):
-            raise NonvanishingAssumptionError("negative power of a vanishing value")
-        if exponent == 0:
-            return 1 + 0j
-        try:
-            return value ** exponent
-        except OverflowError:
-            raise _beyond_float_range() from None
-
-    def is_zero(self, value: complex) -> bool:
-        return abs(value) <= self.zero_tolerance
-
-    def extract_integer(self, value: complex) -> int:
-        if not cmath.isfinite(value):  # a product or sum overflowed
-            raise _beyond_float_range()
-        nearest = round(value.real)
-        if abs(value - nearest) > self.integer_tolerance * max(1.0, abs(value)):
-            raise NonIntegerValueError(f"value is not close to an integer: {value}", value=value)
-        return int(nearest)
-
-    def extract_rational(self, value: complex) -> Fraction:
-        if abs(value.imag) > self.integer_tolerance * max(1.0, abs(value)):
-            raise NonIntegerValueError(f"value is not close to a rational: {value}", value=value)
-        return Fraction(value.real).limit_denominator(10**12)
-
-    def to_complex(self, value: complex) -> complex:
-        return value
-
-    def pivot_weight(self, value: complex) -> float:
-        return abs(value)
 
 
 def make_backend(kind: str, n: int):

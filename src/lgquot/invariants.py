@@ -247,9 +247,10 @@ def required_degree(n: int, g: int, insertions) -> int | None:
 
 # Largest rank each backend answers, and exact counts (README, Conventions).  A
 # query sums over 2^n points.  The exact genus-0 query is the slowest, with one
-# field inverse per point: about a minute at n = 15.  The float point tables
-# double in memory with each rank.  An exact count sums one trace per point
-# orbit instead: (21, 3, 0) takes 8-12 s, (22, 3, 0) about 18 s.
+# field inverse per point: about a minute at n = 15.  The float point tables of
+# gw and intersect double in memory with each rank; a float count builds none.
+# An exact count sums one trace per point orbit instead: (21, 3, 0) takes
+# 8-12 s, (22, 3, 0) about 18 s.
 _MAX_RANK = {"exact": 15, "float": 18, "count": 21}
 
 
@@ -336,16 +337,23 @@ def _point_sum(n: int, g: int, backend: str, exponent: int, qtildes,
 
     S is the staircase Schur value at the point; the factors are the qtilde
     values of the partitions in `qtildes`, then the value of P if given.  This
-    is the one sum that the three formulas below share.  An exact sum at
-    g >= 1 whose factors are all staircase qtilde values (every count, and gw
-    with staircase insertions only) is a sum of traces over point orbits
-    (`_trace_sum`), with no point table; any other sum visits every point's
+    is the one sum that the three formulas below share.  A sum whose factors
+    are all staircase qtilde values (every count, and gw with staircase
+    insertions only) builds no point table: exactly at g >= 1 it is a sum of
+    traces over point orbits (`_trace_sum`), in floats a product over each
+    point's coordinates (`_float_sum`).  Any other sum visits every point's
     table (`_table_sum`).
     """
     # a rank-n strict partition with n parts is the staircase
-    if backend == "exact" and g >= 1 and P is None and all(len(q) == n for q in qtildes):
-        _check_rank_limit(n, "count")
-        return _trace_sum(n, g, exponent, len(qtildes))
+    if P is None and all(len(q) == n for q in qtildes):
+        if backend == "exact" and g >= 1:
+            _check_rank_limit(n, "count")
+            return _trace_sum(n, g, exponent, len(qtildes))
+        if backend == "float":
+            from ._float import _float_sum
+
+            _check_rank_limit(n, "float")
+            return _float_sum(n, g, exponent, len(qtildes))
     _check_rank_limit(n, backend)
     return _table_sum(n, g, backend, exponent, qtildes, P)
 

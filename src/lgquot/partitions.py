@@ -160,29 +160,33 @@ class IndexTuple(Frozen):
 
     @property
     def staircase_sign(self) -> int:
-        """Sign of the staircase Schur value prod_{i<j} (x_i + x_j) at a summation point.
+        """Sign of the staircase Schur value at a summation point (`_staircase_sign`)."""
+        return _staircase_sign(self.N, self.doubled)
 
-        With x_i = zeta^d_i, zeta a primitive 4N-th root and d the doubled
-        exponents, x_i + x_j = zeta^((d_i + d_j)/2) * 2cos(pi (d_j - d_i)/4N).
-        Under unit product the phases multiply to (-1)^((N-1) sum(d)/4N), so
-        the value is real, and a cosine is negative exactly when d_j - d_i > 2N.
-        Without opposite coordinates the window's N pairs (b, b + 2N) each give
-        one entry, a low pick b or a high pick b + 2N, and d_j - d_i > 2N
-        exactly when d_i is a low pick and d_j the high pick of a later pair.
-        """
-        N, d = self.N, self.doubled
-        turns, rest = divmod(sum(d), 4 * N)
-        if rest:
-            raise ValueError(f"coordinates of {d} do not multiply to 1")
-        two_n = 2 * N
-        if len({x % two_n for x in d}) < N:
-            raise ValueError(f"opposite coordinates in {d}")
-        # the window is [1 - N, 3N - 1]: the high picks are those from N + 1 on,
-        # and the t-th of them (from 0), x, has (x - N - 1)/2 earlier pairs, t high
-        first_high = bisect_left(d, N + 1)
-        highs = N - first_high
-        lows_before = (sum(d[first_high:]) - highs * (N + 1)) // 2 - highs * (highs - 1) // 2
-        return -1 if ((N - 1) * turns + lows_before) % 2 else 1
+
+def _staircase_sign(N: int, d: tuple[int, ...]) -> int:
+    """Sign of the staircase Schur value prod_{i<j} (x_i + x_j) at a summation point.
+
+    With x_i = zeta^d_i, zeta a primitive 4N-th root and d the doubled
+    exponents, x_i + x_j = zeta^((d_i + d_j)/2) * 2cos(pi (d_j - d_i)/4N).
+    Under unit product the phases multiply to (-1)^((N-1) sum(d)/4N), so
+    the value is real, and a cosine is negative exactly when d_j - d_i > 2N.
+    Without opposite coordinates the window's N pairs (b, b + 2N) each give
+    one entry, a low pick b or a high pick b + 2N, and d_j - d_i > 2N
+    exactly when d_i is a low pick and d_j the high pick of a later pair.
+    """
+    turns, rest = divmod(sum(d), 4 * N)
+    if rest:
+        raise ValueError(f"coordinates of {d} do not multiply to 1")
+    two_n = 2 * N
+    if len({x % two_n for x in d}) < N:
+        raise ValueError(f"opposite coordinates in {d}")
+    # the window is [1 - N, 3N - 1]: the high picks are those from N + 1 on,
+    # and the t-th of them (from 0), x, has (x - N - 1)/2 earlier pairs, t high
+    first_high = bisect_left(d, N + 1)
+    highs = N - first_high
+    lows_before = (sum(d[first_high:]) - highs * (N + 1)) // 2 - highs * (highs - 1) // 2
+    return -1 if ((N - 1) * turns + lows_before) % 2 else 1
 
 
 def _window(N: int) -> tuple[int, int, int]:
@@ -247,12 +251,17 @@ def summation_tuples(N: int) -> tuple[IndexTuple, ...]:
     Grassmannian.  Tuples come in the order of
     `filter_unit_product(filter_no_opposites(root_tuples(N)))`.
     """
+    return tuple(IndexTuple(N, pick) for pick in _summation_picks(N))
+
+
+@lru_cache(maxsize=None)
+def _summation_picks(N: int) -> tuple[tuple[int, ...], ...]:
+    """The doubled exponents of `summation_tuples(N)` as plain tuples, in the same order."""
     lo, _hi, _parity = _window(N)
     pairs = [(d, d + 2 * N) for d in range(lo, lo + 2 * N, 2)]
-    picks = sorted(
+    return tuple(sorted(
         tuple(sorted(pick)) for pick in product(*pairs) if sum(pick) % (4 * N) == 0
-    )
-    return tuple(IndexTuple(N, pick) for pick in picks)
+    ))
 
 
 def _orbit_walk(N: int, maps: bool):

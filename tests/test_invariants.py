@@ -271,6 +271,57 @@ def test_float_odd_ell_counts_are_exact():
     assert maximal_count(10, 2, 1, "float") == 1756085285888
 
 
+def _outcome(compute):
+    try:
+        return compute()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_float_sum_matches_the_table_sum_bit_for_bit():
+    # the float staircase-only sum builds no point table but keeps the float
+    # operations of `_table_sum` in their order: the same integer or the same error
+    from lgquot._float import _float_sum
+
+    checks, raised = 0, 0
+    try:
+        for n in range(1, 10):
+            top = staircase(n).parts
+            for g in range(6):
+                for count in range(4):
+                    for exponent in (-3, 0, 2):
+                        fast = _outcome(lambda: _float_sum(n, g, exponent, count))
+                        assert fast == _outcome(lambda: invariants._table_sum(
+                            n, g, "float", exponent, [top] * count)), (n, g, count, exponent)
+                        checks += 1
+                        raised += isinstance(fast, tuple)
+            _point_tables.cache_clear()
+        overflow = _outcome(lambda: _float_sum(1, 20000, 0, 0))
+        assert overflow[0] is ValueError and "float backend's range" in overflow[1]
+        assert overflow == _outcome(lambda: invariants._table_sum(1, 20000, "float", 0, []))
+    finally:
+        _point_tables.cache_clear()
+    assert checks == 648 and 0 < raised < checks
+    # the sum is unchanged, so is its rounding: the exact count is 8304582944948224
+    assert maximal_count(8, 3, 0, "float") == 8304582944948212
+    assert maximal_count(8, 3, 0) == 8304582944948224
+
+
+def test_float_counts_build_no_point_tables():
+    # every float count, genus 0 too, and float gw with staircase insertions only
+    queries = [(maximal_count, (n, g, ell)) for n, g, ell in [(4, 3, 0), (5, 2, 1), (6, 0, -1)]]
+    queries.append((gw_invariant, (3, 2, 3, [staircase(3)])))
+    _point_tables.cache_clear()
+    points = summation_tuples.cache_info()
+    try:
+        floats = [query(*args, backend="float") for query, args in queries]
+        assert _point_tables.cache_info() == (0, 0, None, 0)
+        assert summation_tuples.cache_info() == points
+        assert floats == [query(*args) for query, args in queries]
+    finally:
+        _point_tables.cache_clear()
+
+
 def test_point_from_tuple_matches_complex_coordinates():
     import cmath
 

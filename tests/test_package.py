@@ -60,15 +60,19 @@ def test_unknown_attribute_raises_attribute_error():
     assert not hasattr(lgquot, "mat_inverse")  # an oracle name the package never exported
 
 
-LEAN = ("lgquot.cyclotomic", "lgquot.symfunc", "lgquot.oracle", "lgquot.verify", "dataclasses")
-TABLES = ["lgquot.cyclotomic", "lgquot.symfunc"]
+LEAN = ("lgquot._float", "lgquot.cyclotomic", "lgquot.symfunc", "lgquot.oracle", "lgquot.verify",
+        "dataclasses")
+FLOAT = ["lgquot._float"]
+TABLES = FLOAT + ["lgquot.cyclotomic", "lgquot.symfunc"]  # the field re-exports the float backend
 
 COUNT = ["count", "--n", "8", "--genus", "3", "--ell", "0"]
 COUNT_BOTH = ["count", "--n", "2", "--genus", "2", "--ell", "0", "--backend", "both"]
 COUNT_FLOAT = ["count", "--n", "4", "--genus", "2", "--ell", "0", "--backend", "float"]
+COUNT_FLOAT_0 = ["count", "--n", "3", "--genus", "0", "--ell", "1", "--backend", "float"]
 GW = ["gw", "--n", "2", "--genus", "0", "--degree", "0", "--partitions", "1;1;1"]
 INTERSECT = ["intersect", "--n", "2", "--genus", "2", "--ell", "0", "--e", "-2", "--poly", "a1^3"]
 TABLE = ["table", "--n", "2", "--genus-range", "2..4", "--ell", "0"]
+TABLE_FLOAT = TABLE + ["--backend", "float"]
 VERIFY = ["verify", "--suite", "oracle", "--max-n", "1"]
 
 
@@ -92,12 +96,14 @@ def test_import_loads_neither_the_tables_nor_the_oracle(tmp_path):
 
 @pytest.mark.parametrize("argv, loaded", [
     (COUNT, []),
-    (COUNT_BOTH, TABLES),
+    (COUNT_BOTH, FLOAT),
+    (COUNT_FLOAT, FLOAT),
     (GW, TABLES),
     (INTERSECT, TABLES),
     (TABLE, []),
+    (TABLE_FLOAT, FLOAT),
     (VERIFY, TABLES + ["lgquot.oracle", "lgquot.verify"]),
-], ids=["count", "count-both", "gw", "intersect", "table", "verify"])
+], ids=["count", "count-both", "count-float", "gw", "intersect", "table", "table-float", "verify"])
 def test_cli_process_imports_only_what_it_runs(argv, loaded, tmp_path):
     script = (
         f"import json, sys; sys.path.insert(0, {SRC!r}); "
@@ -110,7 +116,8 @@ def test_cli_process_imports_only_what_it_runs(argv, loaded, tmp_path):
 # Each command loads what its query runs before the clock starts, so that
 # elapsed_ms times the query alone.  An exact count or table at genus 0 is the
 # exception: it takes the table path and loads the field and the tables while
-# timed, as no other exact count does.
+# timed, as no other exact count does.  A float count at genus 0 builds no
+# table, so it loads nothing while timed.
 _TIMED = """
 import json, sys
 sys.path.insert(0, {src!r})
@@ -136,8 +143,9 @@ print(json.dumps([code, seen]))
 """
 
 
-@pytest.mark.parametrize("argv", [COUNT, COUNT_FLOAT, GW, INTERSECT, TABLE, VERIFY],
-                         ids=["count", "count-float", "gw", "intersect", "table", "verify"])
+@pytest.mark.parametrize("argv", [COUNT, COUNT_FLOAT, COUNT_FLOAT_0, GW, INTERSECT, TABLE, VERIFY],
+                         ids=["count", "count-float", "count-float-genus-0", "gw", "intersect",
+                              "table", "verify"])
 def test_no_module_loads_while_a_query_is_timed(argv, tmp_path):
     code, (started, stopped) = _run_script(_TIMED.format(src=SRC, argv=argv), tmp_path)
     assert code == 0
