@@ -33,6 +33,7 @@ from .invariants import (
     SchubertExpression,
     _check_rank_and_genus,
     _count_is_finite,
+    _staircase_sum_builds_tables,
     gw_invariant,
     intersection_number,
     maximal_count,
@@ -151,14 +152,11 @@ class _PolyParser:
         factors: list[tuple[int, ...]] = []
         if self.peek() == "int":
             coeff = self._rational()
-            while self.peek() == "*":
-                self.take("*")
-                factors.extend(self._factor())
         else:
             factors.extend(self._factor())
-            while self.peek() == "*":
-                self.take("*")
-                factors.extend(self._factor())
+        while self.peek() == "*":
+            self.take("*")
+            factors.extend(self._factor())
         return SchubertExpression.monomial(factors, coeff)
 
     def _rational(self) -> Fraction:
@@ -214,42 +212,6 @@ def parse_genus_range(text: str) -> range:
 # -- output -------------------------------------------------------------------------
 
 
-class QueryResult:
-    """Echo of the query parameters plus the computed value, table rows or an error code."""
-
-    __slots__ = ("params", "value", "backend", "elapsed_ms", "note", "error", "message",
-                 "checks", "rows")
-
-    def __init__(self, params: dict, backend: str = "exact") -> None:
-        self.params = params
-        self.value: str | None = None
-        self.backend = backend
-        self.elapsed_ms = 0.0
-        self.note: str | None = None
-        self.error: str | None = None
-        self.message: str | None = None
-        self.checks: list = []
-        self.rows: list | None = None
-
-    def to_dict(self) -> dict:
-        out = dict(self.params)
-        if self.error is not None:
-            out["error"] = self.error
-            out["message"] = self.message
-        elif self.rows is not None:
-            out["rows"] = self.rows
-        else:
-            out["value"] = self.value
-        if self.note:
-            out["note"] = self.note
-        if self.checks:
-            out["checks"] = self.checks
-            out["passed"] = all(c["passed"] for c in self.checks)
-        out["backend"] = self.backend
-        out["elapsed_ms"] = self.elapsed_ms
-        return out
-
-
 class BackendMismatchError(ArithmeticError):
     pass
 
@@ -280,12 +242,11 @@ _ERRORS = (
 )
 
 
-def _compute_with_backend(compute, backend: str) -> int:
-    """Run a query on one or both backends; 'both' asserts agreement."""
+def _on_backends(backend: str, formula, *args) -> int:
+    """`formula(*args, backend)` on one or both backends; 'both' asserts agreement."""
     if backend != "both":
-        return compute(backend)
-    exact_value = compute("exact")
-    float_value = compute("float")
+        return formula(*args, backend)
+    exact_value, float_value = formula(*args, "exact"), formula(*args, "float")
     if exact_value != float_value:
         raise BackendMismatchError(
             f"backends disagree: exact={exact_value}, float={float_value}"
@@ -293,41 +254,41 @@ def _compute_with_backend(compute, backend: str) -> int:
     return exact_value
 
 
-def _emit(result: QueryResult, fmt: str, text_lines) -> None:
-    if fmt == "json":
-        print(json.dumps(result.to_dict()))
-    elif result.error is not None:
-        print(f"error {result.error}: {result.message}")
-    else:
-        for line in text_lines(result):
-            print(line)
+def _run_query(params: dict, backend: str, fmt: str, compute,
+               text_lines=lambda fields: [fields["value"]]) -> int:
+    """Time `compute()`, print its output fields or classified error, return the exit code.
 
-
-def _value_lines(result: QueryResult) -> list[str]:
-    return [result.value]
-
-
-def _run_query(params: dict, backend: str, fmt: str, compute, text_lines=_value_lines) -> int:
-    """Time `compute(result)`, print its value or classified error, return the exit code."""
-    result = QueryResult(params, backend=backend)
+    `compute` returns the fields that follow `params` in the JSON object, in
+    order; an integer "value" is printed in decimal.  `text_lines` turns the
+    fields into the lines of the text (or csv) format.  A "passed" field that
+    is false makes the exit code 4.
+    """
     status = 0
     start = time.perf_counter()
     try:
-        value = compute(result)
-        if value is not None:
-            result.value = _decimal(value)
+        fields = compute()
+        if fields.get("value") is not None:
+            fields["value"] = _decimal(fields["value"])
     except Exception as exc:  # classified by _ERRORS; unknown kinds re-raise
         for kind, code, status in _ERRORS:
             if isinstance(exc, kind):
-                result.error, result.message = code, str(exc)
+                fields = {"error": code, "message": str(exc)}
                 break
         else:
             raise
-    result.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    _emit(result, fmt, text_lines)
-    if status == 0 and result.checks and not all(c["passed"] for c in result.checks):
-        return 4
-    return status
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    if fmt == "json":
+        print(json.dumps({**params, **fields, "backend": backend, "elapsed_ms": elapsed_ms}))
+    elif status:
+        print(f"error {fields['error']}: {fields['message']}")
+    else:
+        print("\n".join(text_lines(fields)))
+    return 4 if fields.get("passed") is False else status
+
+
+def _genus_note(genus: int) -> dict:
+    """The note field of a value below genus 2, where it is the bare formula value."""
+    return {"note": GENUS_NOTE} if genus <= 1 else {}
 
 
 # -- subcommands ---------------------------------------------------------------------
@@ -337,12 +298,10 @@ def cmd_gw(args) -> int:
     params = {"command": "gw", "n": args.n, "genus": args.genus, "degree": args.degree,
               "partitions": args.partitions}
 
-    def compute(result):
+    def compute():
         insertions = parse_partition_list(args.partitions, args.n)
-        return _compute_with_backend(
-            lambda kind: gw_invariant(args.n, args.genus, args.degree, insertions, kind),
-            args.backend,
-        )
+        return {"value": _on_backends(args.backend, gw_invariant, args.n, args.genus,
+                                      args.degree, insertions)}
 
     return _run_query(params, args.backend, args.format, compute)
 
@@ -350,33 +309,24 @@ def cmd_gw(args) -> int:
 def cmd_count(args) -> int:
     params = {"command": "count", "n": args.n, "genus": args.genus, "ell": args.ell}
 
-    def compute(result):
-        value = _compute_with_backend(
-            lambda kind: maximal_count(args.n, args.genus, args.ell, kind), args.backend
-        )
-        result.params["e"] = maximal_subbundle_degree(args.n, args.genus, args.ell)
-        result.note = GENUS_NOTE if args.genus <= 1 else None
-        return value
+    def compute():
+        value = _on_backends(args.backend, maximal_count, args.n, args.genus, args.ell)
+        return {"e": maximal_subbundle_degree(args.n, args.genus, args.ell), "value": value,
+                **_genus_note(args.genus)}
 
-    return _run_query(
-        params, args.backend, args.format, compute,
-        lambda r: [r.value, f"e = {r.params['e']}"],
-    )
+    return _run_query(params, args.backend, args.format, compute,
+                      lambda fields: [fields["value"], f"e = {fields['e']}"])
 
 
 def cmd_intersect(args) -> int:
     params = {"command": "intersect", "n": args.n, "genus": args.genus, "ell": args.ell,
               "e": args.e, "poly": args.poly}
 
-    def compute(result):
+    def compute():
         expression = parse_poly(args.poly, args.n)
-        value = _compute_with_backend(
-            lambda kind: intersection_number(args.n, args.genus, args.ell, args.e,
-                                             expression, kind),
-            args.backend,
-        )
-        result.note = GENUS_NOTE if args.genus <= 1 else None
-        return value
+        return {"value": _on_backends(args.backend, intersection_number, args.n, args.genus,
+                                      args.ell, args.e, expression),
+                **_genus_note(args.genus)}
 
     return _run_query(params, args.backend, args.format, compute)
 
@@ -385,26 +335,20 @@ def cmd_table(args) -> int:
     params = {"command": "table", "n": args.n, "genus_range": args.genus_range,
               "ell": args.ell}
 
-    def compute(result):
+    def compute():
         _check_rank_and_genus(args.n, 0)  # a bad rank is refused, not skipped for parity
         rows = []
         for g in parse_genus_range(args.genus_range):
             if not _count_is_finite(args.n, g, args.ell):
                 continue  # no finite count at this genus; row omitted
-            value = _compute_with_backend(
-                lambda kind: maximal_count(args.n, g, args.ell, kind), args.backend
-            )
+            value = _on_backends(args.backend, maximal_count, args.n, g, args.ell)
             rows.append({"n": args.n, "g": g, "ell": args.ell,
                          "e": maximal_subbundle_degree(args.n, g, args.ell),
                          "value": _decimal(value)})
-        result.rows = rows
+        return {"rows": rows}
 
-    def lines(r):
-        return ["n,g,ell,e,value"] + [
-            f"{row['n']},{row['g']},{row['ell']},{row['e']},{row['value']}" for row in r.rows
-        ]
-
-    return _run_query(params, args.backend, args.format, compute, lines)
+    return _run_query(params, args.backend, args.format, compute, lambda fields: [
+        "n,g,ell,e,value", *(",".join(map(str, row.values())) for row in fields["rows"])])
 
 
 def cmd_verify(args) -> int:
@@ -413,21 +357,16 @@ def cmd_verify(args) -> int:
 
     from .verify import run_suites  # only here, before the clock: it imports the oracle
 
-    def compute(result):
+    def compute():
         outcomes = run_suites([args.suite], args.max_n, args.max_genus, args.seed,
                               args.cases)
-        result.checks = [
-            {"name": o.name, "passed": o.passed, "detail": o.detail} for o in outcomes
-        ]
+        checks = [{"name": o.name, "passed": o.passed, "detail": o.detail} for o in outcomes]
+        return {"value": None, "checks": checks, "passed": all(o.passed for o in outcomes)}
 
-    def lines(r):
-        out = [
-            f"{'PASS' if c['passed'] else 'FAIL'} {c['name']} ({c['detail']})"
-            for c in r.checks
-        ]
-        out.append("all checks passed" if all(c["passed"] for c in r.checks)
-                   else "verification FAILED")
-        return out
+    def lines(fields):
+        return [f"{'PASS' if c['passed'] else 'FAIL'} {c['name']} ({c['detail']})"
+                for c in fields["checks"]] + [
+            "all checks passed" if fields["passed"] else "verification FAILED"]
 
     return _run_query(params, "exact", args.format, compute, lines)
 
@@ -492,16 +431,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _builds_point_tables(args) -> bool:
+    """Whether the query sums over point tables: gw, intersect and verify do, and
+    a count or table does only where its exact side sums at genus 0."""
+    if args.subcommand not in ("count", "table"):
+        return True
+    if args.backend == "float":
+        return False
+    try:
+        genera = [args.genus] if args.subcommand == "count" else parse_genus_range(
+            args.genus_range)
+    except CLIParseError:
+        return False  # the query reports PARSE and sums nothing
+    return any(_count_is_finite(args.n, g, args.ell) and _staircase_sum_builds_tables("exact", g)
+               for g in genera)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # what the query runs loads before its clock starts, so that elapsed_ms
-    # does not time the import: a count or table needs no point table, only
-    # the float sum on the float backend; every other query builds the tables
-    if args.subcommand in ("count", "table"):
-        if args.backend != "exact":
-            from . import _float  # noqa: F401
-    else:
-        from . import cyclotomic, symfunc  # noqa: F401
+    # does not time the import
+    if _builds_point_tables(args):
+        from . import cyclotomic, symfunc  # noqa: F401  (the field loads _float too)
+    elif args.backend != "exact":  # a count or table: the float sum builds no table
+        from . import _float  # noqa: F401
     return args.handler(args)
 
 

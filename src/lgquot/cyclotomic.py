@@ -76,8 +76,10 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 def working_order(n: int) -> int:
     """Cyclotomic order large enough for every value at rank n.
 
-    The evaluation points are powers of a primitive 4(n+1)-th root of unity,
-    and sqrt(2) prefactors need the 8th roots, hence lcm(4(n+1), 8).
+    The evaluation points are powers of a primitive 4(n+1)-th root of unity.
+    The order is lcm(4(n+1), 8), which holds sqrt(2); but only odd n uses
+    sqrt(2), in the staircase qtilde value, and there 8 already divides
+    4(n+1).  For even n the lcm doubles the order, which no value needs.
     """
     if n < 1:
         raise ValueError(f"rank must be positive, got {n}")

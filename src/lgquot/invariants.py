@@ -268,7 +268,7 @@ def _point_tables(n: int, kind: str):
     """Backend plus one cached PointTable per admissible exponent tuple.
 
     The field and the tables load here, on the first table built: an exact
-    count never builds one (`_trace_sum`).
+    count builds them only at genus 0 (`_staircase_sum_builds_tables`).
     """
     from .cyclotomic import make_backend
     from .symfunc import PointTable
@@ -345,8 +345,9 @@ def _point_sum(n: int, g: int, backend: str, exponent: int, qtildes,
     table (`_table_sum`).
     """
     # a rank-n strict partition with n parts is the staircase
-    if P is None and all(len(q) == n for q in qtildes):
-        if backend == "exact" and g >= 1:
+    if (P is None and all(len(q) == n for q in qtildes)
+            and not _staircase_sum_builds_tables(backend, g)):
+        if backend == "exact":
             _check_rank_limit(n, "count")
             return _trace_sum(n, g, exponent, len(qtildes))
         if backend == "float":
@@ -356,6 +357,15 @@ def _point_sum(n: int, g: int, backend: str, exponent: int, qtildes,
             return _float_sum(n, g, exponent, len(qtildes))
     _check_rank_limit(n, backend)
     return _table_sum(n, g, backend, exponent, qtildes, P)
+
+
+def _staircase_sum_builds_tables(backend: str, g: int) -> bool:
+    """Whether a `_point_sum` of staircase qtilde factors only builds point tables.
+
+    Only an exact sum at genus 0 does, since it inverts S at every point.  The
+    CLI reads this rule to load the tables before its clock starts.
+    """
+    return backend == "exact" and g < 1
 
 
 def _trace_sum(n: int, g: int, exponent: int, staircases: int) -> int:

@@ -13,13 +13,15 @@ partner.
 
 What the oracle checks independently: the structure constants are summed over
 the orbits of the evaluation points under rotation and Galois maps, through
-field traces, while `gw_invariant` sums all 2^n points one by one.  Both read
-the same point values (staircase Schur and qtilde values), so agreement of a
-trace with the direct formula compares two summation routes over those
-values.  Everything after the constants shares no code with the
-root-of-unity summation: the ring axioms are checked in integers, on packed
-rows of the product table, and the operators and traces are exact rational
-linear algebra.
+field traces, while `gw_invariant` sums the 2^n points one by one.  The
+exception is a gw whose insertions are all the staircase, at g >= 1 (every
+rank-1 gw at g >= 1 is one): it is a sum of traces over the same point orbits
+(`invariants._trace_sum`).  Both sides read the same point values (staircase
+Schur and qtilde values), so agreement of a trace with the direct formula
+compares two summation routes over those values.  Everything after the
+constants shares no code with the root-of-unity summation: the ring axioms are
+checked in integers, on packed rows of the product table, and the operators
+and traces are exact rational linear algebra.
 
 Structure constants are cached on disk as versioned JSON; see CACHE_FORMAT.
 """

@@ -71,15 +71,14 @@ def _sample_quot_parameters(rng: random.Random, max_n: int, max_genus: int,
     return n, g, ell, e, random_monomial(rng, n, expected_dimension(n, e, ell, g))
 
 
-def _sample_insertions(rng: random.Random, max_n: int, max_genus: int,
-                       require_degree: bool):
-    """Random (n, g, insertions, d); resamples until a valid degree exists if asked."""
+def _sample_insertions(rng: random.Random, max_n: int, max_genus: int):
+    """Random (n, g, insertions, d); resamples until a valid degree d exists."""
     while True:
         n = rng.randint(1, max_n)
         g = rng.randint(0, max_genus)
         insertions = [random_strict(rng, n) for _ in range(rng.randint(0, 4))]
         d = required_degree(n, g, insertions)
-        if not require_degree or d is not None:
+        if d is not None:
             return n, g, insertions, d
 
 
@@ -119,11 +118,11 @@ def identity_suite(max_n: int = 3, max_genus: int = 4, seed: int = 0,
                                       k=rng.randint(0, 2))
 
     def staircase_insertion(rng):
-        n, g, insertions, d = _sample_insertions(rng, max_n, max_genus, require_degree=True)
+        n, g, insertions, d = _sample_insertions(rng, max_n, max_genus)
         return verify_staircase_insertion(n, g, d, insertions, k=rng.randint(0, 2))
 
     def product_consistency(rng):
-        n, g, insertions, d = _sample_insertions(rng, max_n, max_genus, require_degree=True)
+        n, g, insertions, d = _sample_insertions(rng, max_n, max_genus)
         P = SchubertExpression.one()
         for parts in insertions:
             P = P * SchubertExpression.qtilde_factor(parts)
@@ -197,7 +196,7 @@ def backend_suite(max_n: int = 3, max_genus: int = 4, seed: int = 0,
             n, g, ell, e, P, "float")
 
     def invariants(rng):
-        n, g, insertions, d = _sample_insertions(rng, max_n, max_genus, require_degree=True)
+        n, g, insertions, d = _sample_insertions(rng, max_n, max_genus)
         return gw_invariant(n, g, d, insertions, "exact") == gw_invariant(
             n, g, d, insertions, "float")
 

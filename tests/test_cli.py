@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import time
@@ -298,6 +299,80 @@ def test_verify_refuses_arguments_out_of_range(args, capsys):
     assert capsys.readouterr().out.startswith(f"error USAGE: {flag} must be at least ")
 
 
+# -- golden output: the printed bytes and the JSON key order --------------------
+
+NOTE = '"note": "formula value (enumerative meaning needs genus >= 2)", '
+IDENTITIES = ["twist_identity", "hecke_recursion", "staircase_insertion", "product_consistency"]
+GOLDEN = [
+    (["count", "--n", "2", "--genus", "2", "--ell", "0"], 0, "16\ne = -1\n",
+     '{"command": "count", "n": 2, "genus": 2, "ell": 0, "e": -1, "value": "16", '
+     '"backend": "exact", "elapsed_ms": 0}\n'),
+    (["count", "--n", "2", "--genus", "1", "--ell", "0"], 0, "4\ne = 0\n",
+     '{"command": "count", "n": 2, "genus": 1, "ell": 0, "e": 0, "value": "4", ' + NOTE
+     + '"backend": "exact", "elapsed_ms": 0}\n'),
+    (["gw", "--n", "2", "--genus", "0", "--degree", "0", "--partitions", "1;1;1"], 0, "2\n",
+     '{"command": "gw", "n": 2, "genus": 0, "degree": 0, "partitions": "1;1;1", "value": "2", '
+     '"backend": "exact", "elapsed_ms": 0}\n'),
+    (["intersect", "--n", "2", "--genus", "1", "--ell", "0", "--e", "-1", "--poly", "a1^3"], 0,
+     "12\n",
+     '{"command": "intersect", "n": 2, "genus": 1, "ell": 0, "e": -1, "poly": "a1^3", '
+     '"value": "12", ' + NOTE + '"backend": "exact", "elapsed_ms": 0}\n'),
+    (["table", "--n", "2", "--genus-range", "0..4", "--ell", "0"], 0,
+     "n,g,ell,e,value\n2,0,0,1,0\n2,1,0,0,4\n2,2,0,-1,16\n2,3,0,-2,112\n2,4,0,-3,640\n",
+     '{"command": "table", "n": 2, "genus_range": "0..4", "ell": 0, "rows": ['
+     + ", ".join(f'{{"n": 2, "g": {g}, "ell": 0, "e": {1 - g}, "value": "{v}"}}'
+                 for g, v in enumerate((0, 4, 16, 112, 640)))
+     + '], "backend": "exact", "elapsed_ms": 0}\n'),
+    (["verify", "--suite", "identities"], 0,
+     "".join(f"PASS {name} (50/50 cases)\n" for name in IDENTITIES)
+     + "PASS presentation_relations (14/14 points)\nall checks passed\n",
+     '{"command": "verify", "suite": "identities", "max_n": 3, "max_genus": 4, "seed": 0, '
+     '"cases": 50, "value": null, "checks": ['
+     + "".join(f'{{"name": "{name}", "passed": true, "detail": "50/50 cases"}}, '
+               for name in IDENTITIES)
+     + '{"name": "presentation_relations", "passed": true, "detail": "14/14 points"}], '
+     '"passed": true, "backend": "exact", "elapsed_ms": 0}\n'),
+    (["count", "--n", "1", "--genus", "0", "--ell", "0"], 2,
+     "error PARITY: n(ell - g + 1) = 1 is odd; no finite count for (n=1, g=0, ell=0)\n",
+     '{"command": "count", "n": 1, "genus": 0, "ell": 0, "error": "PARITY", '
+     '"message": "n(ell - g + 1) = 1 is odd; no finite count for (n=1, g=0, ell=0)", '
+     '"backend": "exact", "elapsed_ms": 0}\n'),
+    (["count", "--n", "0", "--genus", "2", "--ell", "0"], 2,
+     "error USAGE: rank must be positive, got 0\n",
+     '{"command": "count", "n": 0, "genus": 2, "ell": 0, "error": "USAGE", '
+     '"message": "rank must be positive, got 0", "backend": "exact", "elapsed_ms": 0}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, code, text, payload", GOLDEN,
+                         ids=["count", "count-note", "gw", "intersect-note", "table",
+                              "verify-identities", "parity-error", "usage-error"])
+def test_golden_output(argv, code, text, payload, capsys):
+    # every byte of the text (csv) and JSON outputs, elapsed_ms masked
+    assert main(argv) == code
+    assert capsys.readouterr().out == text
+    assert main(argv + ["--format", "json"]) == code
+    out = capsys.readouterr().out
+    assert re.sub(r'"elapsed_ms": [-+.e0-9]+', '"elapsed_ms": 0', out) == payload
+    assert json.dumps(json.loads(out)) + "\n" == out
+
+
+def test_a_failed_check_exits_four(monkeypatch, capsys):
+    from lgquot import verify
+
+    outcomes = [verify.CheckOutcome("twist_identity", False, "49/50 cases"),
+                verify.CheckOutcome("hecke_recursion", True, "50/50 cases")]
+    monkeypatch.setattr(verify, "run_suites", lambda *args: outcomes)
+    assert main(["verify"]) == 4
+    assert capsys.readouterr().out == (
+        "FAIL twist_identity (49/50 cases)\nPASS hecke_recursion (50/50 cases)\n"
+        "verification FAILED\n")
+    assert main(["verify", "--format", "json"]) == 4
+    payload = json.loads(capsys.readouterr().out)
+    assert [c["passed"] for c in payload["checks"]] == [False, True]
+    assert payload["value"] is None and payload["passed"] is False
+
+
 def _max_str_digits():
     return getattr(sys, "get_int_max_str_digits", lambda: None)()
 
@@ -358,7 +433,7 @@ def test_float_overflow_is_a_usage_error(argv, exact, capsys):
     (OrbitSizeError("the point orbits hold 65 points"), "ORBIT_SIZE", 3),
 ])
 def test_run_query_reports_each_error_code(exc, code, status, capsys):
-    def compute(result):
+    def compute():
         raise exc
 
     assert cli._run_query({"command": "gw"}, "exact", "text", compute) == status
@@ -394,7 +469,7 @@ def test_count_with_a_wrong_orbit_size_fails_by_name(monkeypatch, capsys):
 
 
 def test_run_query_reraises_unclassified_errors():
-    def compute(result):
+    def compute():
         raise KeyError("n")
 
     with pytest.raises(KeyError):

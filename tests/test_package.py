@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import lgquot
-from lgquot import _ring, cli, cyclotomic, symfunc
+from lgquot import _ring, cyclotomic, symfunc
 from lgquot.invariants import SchubertExpression
 from lgquot.partitions import IndexTuple, Partition, StrictPartition, summation_tuples
 from lgquot.symfunc import SkewMatrix
@@ -114,10 +114,9 @@ def test_cli_process_imports_only_what_it_runs(argv, loaded, tmp_path):
 
 
 # Each command loads what its query runs before the clock starts, so that
-# elapsed_ms times the query alone.  An exact count or table at genus 0 is the
-# exception: it takes the table path and loads the field and the tables while
-# timed, as no other exact count does.  A float count at genus 0 builds no
-# table, so it loads nothing while timed.
+# elapsed_ms times the query alone.  An exact count or table at genus 0 sums
+# over point tables, so it loads the field and the tables before its clock; a
+# float count at genus 0 builds no table.
 _TIMED = """
 import json, sys
 sys.path.insert(0, {src!r})
@@ -129,10 +128,10 @@ def loaded():
     return sorted(m for m in sys.modules if m == "lgquot" or m.startswith("lgquot."))
 
 def timed(params, backend, fmt, compute, *rest):
-    def watched(result):
+    def watched():
         seen.append(loaded())
         try:
-            return compute(result)
+            return compute()
         finally:
             seen.append(loaded())
     return run_query(params, backend, fmt, watched, *rest)
@@ -143,9 +142,16 @@ print(json.dumps([code, seen]))
 """
 
 
-@pytest.mark.parametrize("argv", [COUNT, COUNT_FLOAT, COUNT_FLOAT_0, GW, INTERSECT, TABLE, VERIFY],
-                         ids=["count", "count-float", "count-float-genus-0", "gw", "intersect",
-                              "table", "verify"])
+COUNT_0 = ["count", "--n", "3", "--genus", "0", "--ell", "1"]
+TABLE_0 = ["table", "--n", "2", "--genus-range", "0..2", "--ell", "0"]
+
+
+@pytest.mark.parametrize("argv", [COUNT, COUNT_FLOAT, COUNT_FLOAT_0, COUNT_0,
+                                  COUNT_0 + ["--backend", "both"], GW, INTERSECT, TABLE, TABLE_0,
+                                  VERIFY],
+                         ids=["count", "count-float", "count-float-genus-0", "count-genus-0",
+                              "count-both-genus-0", "gw", "intersect", "table", "table-genus-0",
+                              "verify"])
 def test_no_module_loads_while_a_query_is_timed(argv, tmp_path):
     code, (started, stopped) = _run_script(_TIMED.format(src=SRC, argv=argv), tmp_path)
     assert code == 0
@@ -202,11 +208,3 @@ def test_value_equality_needs_the_same_class():
 def test_fields_accept_keywords():
     assert StrictPartition(n=3, parts=(2, 1)) == StrictPartition(3, (2, 1))
     assert CheckOutcome(name="x", passed=True) == CheckOutcome("x", True, "")
-
-
-def test_query_result_fields_are_assignable():
-    result = cli.QueryResult({"command": "count"}, backend="float")
-    result.value = "4"
-    assert (result.value, result.backend, result.checks, result.rows) == ("4", "float", [], None)
-    with pytest.raises(AttributeError):
-        result.undeclared = 1
