@@ -32,6 +32,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from pathlib import Path
 
@@ -63,7 +64,8 @@ __all__ = [
 
 CACHE_FORMAT_VERSION = 1
 
-# builds above this rank are refused: rank 7 builds uncached in about 12 s, rank 8 takes minutes
+# builds above this rank are refused: rank 7 builds uncached in 7.5-10 s on a 2-core
+# Xeon, 5-8 s of it in _validate; rank 8 takes minutes
 _MAX_RANK = 7
 
 # CACHE_FORMAT: one JSON object per rank n, file qh_algebra_n{n}_v{version}.json:
@@ -214,12 +216,16 @@ def _structure_constants(n: int) -> dict:
     dual of nu.  Its summand has degree d(n+1), so rotating a point leaves it
     unchanged and a Galois map conjugates it; the field trace Tr is therefore
     constant on each orbit of `point_orbits`, and the rational sum is
-    sum over orbits |O| * Tr(summand at the representative) / phi(m).  Every
-    point value is formed once per representative, and the constants are
-    read off together: with u_i = S^(-1) q_i, Tr(u_i q_j v) is the dot
-    product of (u_i q_j).num with the trace vector t of v, t_a =
-    sum_b v_b c_m(a + b), since Tr(zeta^e) is the Ramanujan sum c_m(e) for
-    every exponent e, reduced or not.
+    T / phi(m), with T = sum over orbits |O| * Tr(summand at the representative).
+    T is symmetric in its three classes, and every triple whose unordered
+    {lam, mu, nu'} agrees reads the same T, so each T is computed once: for
+    a <= b <= c it is Tr(u_a q_b q_c), u_a = S^(-1) q_a.  The u of every orbit
+    are put over one common denominator, and so are the q, so T has an integer
+    numerator over a known denominator, checked with divmod.  The
+    product u_a q_b is the plain convolution of the numerators, not reduced
+    modulo the cyclotomic polynomial, and Tr(u_a q_b q_c) is its dot product
+    with the trace vector t of q_c, t_e = sum_b q_c,b c_m(e + b): Tr(zeta^e) is
+    the Ramanujan sum c_m(e) for every exponent e, reduced or not.
     """
     backend, tables = _point_tables(n, "exact")
     index = {J: t for t, J in enumerate(summation_tuples(n + 1))}
@@ -234,33 +240,46 @@ def _structure_constants(n: int) -> dict:
                 excess = wi + weights[j] - wk
                 if excess >= 0 and excess % (n + 1) == 0:
                     triples.append((i, j, k, excess // (n + 1)))
-    m = backend.order
-    ramanujan = _ramanujan_sums(m) * 2  # two periods: a + b below never wraps
-    sums = [Fraction(0)] * len(triples)
+    keys: dict = {}  # sorted (a, b, c) -> position of its trace
+    reads = [keys.setdefault(tuple(sorted((i, j, dual[k]))), len(keys))
+             for i, j, k, _d in triples]
+    orbits = []
     for rep, size in point_orbits(n + 1):
         table = tables[index[rep]]
         inverse = backend.power(table.schur(top), -1)
         q = [table.qtilde(sp.parts) for sp in basis]
-        u = [inverse * x for x in q]
-        t_vectors = [[sum(map(mul, v.num, ramanujan[a:])) for a in range(len(v.num))]
-                     for v in q]
+        orbits.append((size, [inverse * x for x in q], q))
+    den_u = lcm(*(x.den for _size, u, _q in orbits for x in u))
+    den_q = lcm(*(x.den for _size, _u, q in orbits for x in q))
+    m = backend.order
+    span = 2 * euler_phi(m) - 1  # the length of an unreduced product
+    ramanujan = _ramanujan_sums(m) * 2  # two periods: e + b < 3 phi <= 2m never wraps
+    traces = [0] * len(keys)
+    for size, u, q in orbits:
+        u = [[c * (den_u // x.den) for c in x.num] for x in u]
+        q = [[c * (den_q // x.den) for c in x.num] for x in q]
+        t_vectors = [[sum(map(mul, v, ramanujan[e:])) for e in range(span)] for v in q]
         pairs: dict = {}
-        for t, (i, j, k, _d) in enumerate(triples):
-            w = pairs.get((i, j))
+        for (a, b, c), t in keys.items():
+            w = pairs.get((a, b))
             if w is None:
-                w = pairs[(i, j)] = u[i] * q[j]
-            v = dual[k]
-            sums[t] += Fraction(size * sum(map(mul, w.num, t_vectors[v])), w.den * q[v].den)
-    phi = euler_phi(m)
+                w = pairs[(a, b)] = [0] * span
+                for x, ux in enumerate(u[a]):
+                    if ux:
+                        for y, qy in enumerate(q[b], x):
+                            w[y] += ux * qy
+            traces[t] += size * sum(map(mul, w, t_vectors[c]))
+    scale = euler_phi(m) * den_u * den_q**2
     constants: dict = {(i, j): [] for i in range(len(basis)) for j in range(i, len(basis))}
-    for (i, j, k, d), total in zip(triples, sums):
-        c = total / (phi * 2 ** (n + d))
-        if c.denominator != 1:
+    for (i, j, k, d), t in zip(triples, reads):
+        den = scale << (n + d)
+        c, remainder = divmod(traces[t], den)
+        if remainder:
             raise InconsistentAlgebraError(
                 f"structure constant of {basis[k].parts} in {basis[i].parts} * "
-                f"{basis[j].parts} is not an integer: {c}")
+                f"{basis[j].parts} is not an integer: {Fraction(traces[t], den)}")
         if c:
-            constants[(i, j)].append((k, d, int(c)))
+            constants[(i, j)].append((k, d, c))
     return {key: tuple(entries) for key, entries in constants.items()}
 
 

@@ -29,7 +29,7 @@ from lgquot.oracle import (
     quantum_euler,
     trace_invariant,
 )
-from lgquot.partitions import dual_partition, strict_partitions
+from lgquot.partitions import dual_partition, point_orbits, strict_partitions
 
 
 @pytest.fixture(scope="module")
@@ -348,6 +348,7 @@ def test_cache_roundtrip(tmp_path):
     (2, "7444f43a21ea335bb8ec05d4b0ba400a2421f538c4b051f93971eb188256c007"),
     (3, "986d93f521898fa02ffe14346fb26e1f4e4bc27e9f817ea687fa64491b245a84"),
     (4, "721b588aefe1a1598088c95d53c58f1532ec4f5d680e1cfd6344ee473582df62"),
+    (5, "a31349eac56e1461067aa0d39b9fb4eba207c3ac7740b9b3c00b2073347dab2b"),
 ])
 def test_cache_files_are_pinned(tmp_path, n, digest):
     # the written file does not depend on which point represents an orbit
@@ -469,6 +470,23 @@ def test_validation_rejects_broken_constants():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_orbit_constants_match_per_call_build(n):
     assert _structure_constants(n) == _structure_constants_by_calls(n)
+
+
+@pytest.mark.parametrize("position,value", [(0, "21/20"), (1, "21/20"), (2, "5/4")])
+def test_orbit_size_error_names_the_first_non_integer_constant(monkeypatch, position, value):
+    # one rank-4 orbit counted one point too large: the unit's square is the
+    # first triple, and its constant is no longer an integer
+    def one_too_large(N):
+        orbits = list(point_orbits(N))
+        rep, size = orbits[position]
+        orbits[position] = (rep, size + 1)
+        return tuple(orbits)
+
+    monkeypatch.setattr("lgquot.oracle.point_orbits", one_too_large)
+    message = f"structure constant of () in () * () is not an integer: {value}"
+    with pytest.raises(InconsistentAlgebraError) as excinfo:
+        _structure_constants(4)
+    assert str(excinfo.value) == message
 
 
 def test_validation_rejects_raised_constant(algebras):
