@@ -33,7 +33,6 @@ import os
 import tempfile
 from fractions import Fraction
 from math import lcm
-from operator import mul
 from pathlib import Path
 
 from ._frozen import Frozen
@@ -64,8 +63,9 @@ __all__ = [
 
 CACHE_FORMAT_VERSION = 1
 
-# builds above this rank are refused: rank 7 builds uncached in 7.5-10 s on a 2-core
-# Xeon, 5-8 s of it in _validate; rank 8 takes minutes
+# builds above this rank are refused: rank 7 builds uncached in 5.9-7.8 s on a shared
+# 2-core Xeon, of which constants 0.6-1.0 s, save 0.10-0.14 s and _validate 4.8-7.7 s;
+# rank 8 takes minutes
 _MAX_RANK = 7
 
 # CACHE_FORMAT: one JSON object per rank n, file qh_algebra_n{n}_v{version}.json:
@@ -221,25 +221,28 @@ def _structure_constants(n: int) -> dict:
     {lam, mu, nu'} agrees reads the same T, so each T is computed once: for
     a <= b <= c it is Tr(u_a q_b q_c), u_a = S^(-1) q_a.  The u of every orbit
     are put over one common denominator, and so are the q, so T has an integer
-    numerator over a known denominator, checked with divmod.  The
-    product u_a q_b is the plain convolution of the numerators, not reduced
-    modulo the cyclotomic polynomial, and Tr(u_a q_b q_c) is its dot product
-    with the trace vector t of q_c, t_e = sum_b q_c,b c_m(e + b): Tr(zeta^e) is
-    the Ramanujan sum c_m(e) for every exponent e, reduced or not.
+    numerator over a known denominator, checked with divmod.  The traces are
+    read from packed integer products (`_triple_traces`).  The triples (i, j, k)
+    come from buckets of k by weight modulo n + 1, in (i, j, k) order, which
+    fixes the order of the constants in the cache file.
     """
     backend, tables = _point_tables(n, "exact")
     index = {J: t for t, J in enumerate(summation_tuples(n + 1))}
     basis = strict_partitions(n)
-    dual = [basis.index(dual_partition(sp)) for sp in basis]
+    position = {sp.parts: i for i, sp in enumerate(basis)}
+    dual = [position[dual_partition(sp).parts] for sp in basis]
     top = staircase(n).parts
     # (i, j, k, d): basis pairs i <= j, each k, and the map degree d their weights force
-    triples, weights = [], [sp.weight for sp in basis]
+    weights = [sp.weight for sp in basis]
+    buckets: list = [[] for _ in range(n + 1)]  # (k, weight of k) by weight mod n + 1
+    for k, wk in enumerate(weights):
+        buckets[wk % (n + 1)].append((k, wk))
+    triples = []
     for i, wi in enumerate(weights):
         for j in range(i, len(basis)):
-            for k, wk in enumerate(weights):
-                excess = wi + weights[j] - wk
-                if excess >= 0 and excess % (n + 1) == 0:
-                    triples.append((i, j, k, excess // (n + 1)))
+            total = wi + weights[j]
+            triples += [(i, j, k, (total - wk) // (n + 1))
+                        for k, wk in buckets[total % (n + 1)] if wk <= total]
     keys: dict = {}  # sorted (a, b, c) -> position of its trace
     reads = [keys.setdefault(tuple(sorted((i, j, dual[k]))), len(keys))
              for i, j, k, _d in triples]
@@ -252,24 +255,12 @@ def _structure_constants(n: int) -> dict:
     den_u = lcm(*(x.den for _size, u, _q in orbits for x in u))
     den_q = lcm(*(x.den for _size, _u, q in orbits for x in q))
     m = backend.order
-    span = 2 * euler_phi(m) - 1  # the length of an unreduced product
-    ramanujan = _ramanujan_sums(m) * 2  # two periods: e + b < 3 phi <= 2m never wraps
-    traces = [0] * len(keys)
-    for size, u, q in orbits:
-        u = [[c * (den_u // x.den) for c in x.num] for x in u]
-        q = [[c * (den_q // x.den) for c in x.num] for x in q]
-        t_vectors = [[sum(map(mul, v, ramanujan[e:])) for e in range(span)] for v in q]
-        pairs: dict = {}
-        for (a, b, c), t in keys.items():
-            w = pairs.get((a, b))
-            if w is None:
-                w = pairs[(a, b)] = [0] * span
-                for x, ux in enumerate(u[a]):
-                    if ux:
-                        for y, qy in enumerate(q[b], x):
-                            w[y] += ux * qy
-            traces[t] += size * sum(map(mul, w, t_vectors[c]))
-    scale = euler_phi(m) * den_u * den_q**2
+    phi = euler_phi(m)
+    vectors = [(size, [[c * (den_u // x.den) for c in x.num] for x in u],
+                [[c * (den_q // x.den) for c in x.num] for x in q]) for size, u, q in orbits]
+    # two periods of c_m: an unreduced triple product has 3 phi - 2 <= 2m coefficients
+    traces = _triple_traces(vectors, keys, (_ramanujan_sums(m) * 2)[:3 * phi - 2])
+    scale = phi * den_u * den_q**2
     constants: dict = {(i, j): [] for i in range(len(basis)) for j in range(i, len(basis))}
     for (i, j, k, d), t in zip(triples, reads):
         den = scale << (n + d)
@@ -281,6 +272,55 @@ def _structure_constants(n: int) -> dict:
         if c:
             constants[(i, j)].append((k, d, c))
     return {key: tuple(entries) for key, entries in constants.items()}
+
+
+def _triple_traces(orbits, keys: dict, sums) -> list[int]:
+    """T = sum over orbits |O| * Tr(u_a q_b q_c) for each key (a, b, c) -> position of T.
+
+    `orbits` holds (|O|, u, q), u and q lists of integer vectors of one length
+    phi over the power basis of zeta.  The product u_a q_b q_c is not reduced
+    modulo the cyclotomic polynomial, so it has L = 3 phi - 2 coefficients,
+    and Tr(zeta^k) = sums[k] for every k < L (`len(sums)` is L).  So the
+    trace is the coefficient of x^(L-1) in (u_a q_b) (q_c rbar), with rbar
+    the sums reversed: a Kronecker substitution x = 2^s turns each vector
+    into one integer and the product into one integer product, formed once
+    per pair (a, b) and once per class c.  No coefficient of the four-fold
+    product, nor of q_c rbar, nor any partial sum of either, exceeds
+    max|u| max|q|^2 max|sums| phi^2 L in absolute value (if every u is 0, every
+    product is 0 whatever q_c rbar reads), so with s two bits
+    wider than twice that bound each slot holds its coefficient plus 2^(s-1)
+    without a carry, and a slot is read with one shift and mask.  Only slots
+    phi - 1 .. L - 1 of q_c rbar meet x^(L-1) in a product with the 2 phi - 1
+    slots of u_a q_b; they are cut out once per class, and the trace is slot
+    2 phi - 2 of the product with the cut.
+    """
+    span = len(sums)
+    rbar = sums[::-1]
+    traces = [0] * len(keys)
+    for size, u, q in orbits:
+        phi = len(q[0])
+        bound = (max(abs(c) for v in u for c in v) * max(abs(c) for v in q for c in v) ** 2
+                 * max(map(abs, sums)) * phi * phi * span)
+        s = (2 * bound).bit_length() + 2
+        half, mask = 1 << (s - 1), (1 << s) - 1
+        low, width = phi - 1, 2 * phi - 1
+        bias = half * (((1 << (s * span)) - 1) // mask)  # 2^(s-1) in each slot below L
+        kept = half * (((1 << (s * width)) - 1) // mask)
+        keep, shift = (1 << (s * width)) - 1, s * (width - 1)
+        U = [sum(c << (s * e) for e, c in enumerate(v) if c) for v in u]
+        Q = [sum(c << (s * e) for e, c in enumerate(v) if c) for v in q]
+        R = sum(c << (s * e) for e, c in enumerate(rbar) if c)
+        pairs: dict = {}
+        ends: dict = {}
+        for (a, b, c), t in keys.items():
+            w = pairs.get((a, b))
+            if w is None:
+                w = pairs[(a, b)] = U[a] * Q[b]
+            v = ends.get(c)
+            if v is None:
+                v = ends[c] = (((Q[c] * R + bias) >> (s * low)) & keep) - kept
+            traces[t] += size * ((((w * v + kept) >> shift) & mask) - half)
+    return traces
 
 
 def _validate(algebra: QHAlgebra) -> None:
@@ -344,29 +384,38 @@ def _cache_path(n: int, cache_dir) -> Path:
     return base / f"qh_algebra_n{n}_v{CACHE_FORMAT_VERSION}.json"
 
 
+def _cache_text(algebra: QHAlgebra) -> str:
+    """The cache file's text: the bytes of `json.dumps(payload, indent=1)`, written directly.
+
+    The payload is {"format_version", "n", "basis", "constants"}, each row
+    [lam, mu, nu, d, "c"].  With `indent` set, `json.dumps` runs CPython's
+    pure-Python encoder; here each partition is formatted once per nesting
+    depth and each row is one `%`-format.
+    """
+
+    def parts(sp, depth: int) -> str:  # a list of ints whose items sit at `depth` spaces
+        pad = " " * depth
+        if not sp.parts:
+            return "[]"
+        return "[\n" + ",\n".join(pad + str(p) for p in sp.parts) + "\n" + pad[1:] + "]"
+
+    labels = [parts(sp, 4) for sp in algebra.basis]
+    rows = ['  [\n   %s,\n   %s,\n   %s,\n   %d,\n   "%d"\n  ]'
+            % (labels[i], labels[j], labels[k], d, c)
+            for (i, j), entries in sorted(algebra.constants.items()) for k, d, c in entries]
+    basis = ",\n".join("  " + parts(sp, 3) for sp in algebra.basis)
+    return ('{\n "format_version": %d,\n "n": %d,\n "basis": %s,\n "constants": %s\n}'
+            % (CACHE_FORMAT_VERSION, algebra.n, "[\n" + basis + "\n ]",
+               "[\n" + ",\n".join(rows) + "\n ]" if rows else "[]"))
+
+
 def _save_cache(algebra: QHAlgebra, path: Path) -> None:
-    rows = []
-    for (i, j), entries in sorted(algebra.constants.items()):
-        for k, d, c in entries:
-            rows.append([
-                list(algebra.basis[i].parts),
-                list(algebra.basis[j].parts),
-                list(algebra.basis[k].parts),
-                d,
-                str(c),
-            ])
-    payload = {
-        "format_version": CACHE_FORMAT_VERSION,
-        "n": algebra.n,
-        "basis": [list(sp.parts) for sp in algebra.basis],
-        "constants": rows,
-    }
     path.parent.mkdir(parents=True, exist_ok=True)
     # a unique temporary name, so processes building the same rank never share it
     fd, tmp = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=path.parent)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(json.dumps(payload, indent=1))
+            handle.write(_cache_text(algebra))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -390,6 +439,8 @@ def _load_cache(n: int, path: Path) -> QHAlgebra | None:
     try:
         for lam, mu, nu, d, c in payload["constants"]:
             i, j, k = index[tuple(lam)], index[tuple(mu)], index[tuple(nu)]
+            if i > j:  # stored under (i, j), a key that `pair_constants` never reads
+                return None
             constants.setdefault((i, j), []).append((k, int(d), int(c)))
     except (KeyError, TypeError, ValueError):
         return None
@@ -402,7 +453,10 @@ def _load_cache(n: int, path: Path) -> QHAlgebra | None:
 def build_qh_algebra(n: int, use_cache: bool = True, cache_dir=None) -> QHAlgebra:
     """Build (or reload) the rank-n algebra; ring axioms are asserted either way.
 
-    A cache that cannot be written is logged and the algebra kept in memory.
+    A loaded algebra that fails them is logged and rebuilt, and the rebuilt one
+    saved over its file; a built one that fails them raises
+    InconsistentAlgebraError.  A cache that cannot be written is logged and the
+    algebra kept in memory.
     """
     if n < 1:
         raise ValueError(f"rank must be positive, got {n}")
@@ -410,18 +464,27 @@ def build_qh_algebra(n: int, use_cache: bool = True, cache_dir=None) -> QHAlgebr
         raise ValueError(f"rank {n} is above the oracle's limit {_MAX_RANK}")
     path = _cache_path(n, cache_dir)
     algebra = _load_cache(n, path) if use_cache else None
-    if algebra is None:
-        algebra = QHAlgebra(n, tuple(strict_partitions(n)), _structure_constants(n))
-        if use_cache:
-            try:
-                _save_cache(algebra, path)
-            except OSError as exc:
-                import logging  # only here: importing it costs every CLI start about 3 ms
-
-                logging.getLogger(__name__).warning(
-                    "structure-constant cache not saved to %s: %s", path, exc)
+    if algebra is not None:
+        try:
+            _validate(algebra)
+        except InconsistentAlgebraError as exc:
+            _log().warning("structure-constant cache %s rejected and rebuilt: %s", path, exc)
+        else:
+            return algebra
+    algebra = QHAlgebra(n, tuple(strict_partitions(n)), _structure_constants(n))
     _validate(algebra)
+    if use_cache:
+        try:
+            _save_cache(algebra, path)
+        except OSError as exc:
+            _log().warning("structure-constant cache not saved to %s: %s", path, exc)
     return algebra
+
+
+def _log():
+    import logging  # only here: importing it costs every CLI start about 3 ms
+
+    return logging.getLogger(__name__)
 
 
 # -- operators and traces -------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import logging
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -15,7 +16,10 @@ from lgquot.oracle import (
     QHAlgebra,
     SingularEulerError,
     _cache_path,
+    _cache_text,
+    _load_cache,
     _structure_constants,
+    _triple_traces,
     _validate,
     build_qh_algebra,
     charpoly,
@@ -56,6 +60,38 @@ def _structure_constants_by_calls(n: int) -> dict:
                     entries.append((k, d, c))
             constants[(i, j)] = tuple(entries)
     return constants
+
+
+def _triple_traces_by_convolution(orbits, keys: dict, sums) -> list[int]:
+    """The trace kernel as plain loops over the vectors: the reference for `_triple_traces`.
+
+    Tr(u_a q_b q_c) is the dot product of the convolution u_a q_b, of length
+    2 phi - 1, with the trace vector t_e = sum_b (q_c)_b sums[e + b] of q_c.
+    """
+    traces = [0] * len(keys)
+    for size, u, q in orbits:
+        span = 2 * len(q[0]) - 1
+        t_vectors = [[sum(map(mul, v, sums[e:])) for e in range(span)] for v in q]
+        pairs: dict = {}
+        for (a, b, c), t in keys.items():
+            w = pairs.get((a, b))
+            if w is None:
+                w = pairs[(a, b)] = [0] * span
+                for x, ux in enumerate(u[a]):
+                    if ux:
+                        for y, qy in enumerate(q[b], x):
+                            w[y] += ux * qy
+            traces[t] += size * sum(map(mul, w, t_vectors[c]))
+    return traces
+
+
+def _cache_payload(algebra: QHAlgebra) -> dict:
+    """The cache file as a JSON object: `json.dumps(payload, indent=1)` is the reference text."""
+    rows = [[list(algebra.basis[i].parts), list(algebra.basis[j].parts),
+             list(algebra.basis[k].parts), d, str(c)]
+            for (i, j), entries in sorted(algebra.constants.items()) for k, d, c in entries]
+    return {"format_version": CACHE_FORMAT_VERSION, "n": algebra.n,
+            "basis": [list(sp.parts) for sp in algebra.basis], "constants": rows}
 
 
 def _validate_reference(algebra: QHAlgebra) -> None:
@@ -499,3 +535,97 @@ def test_validation_rejects_raised_constant(algebras):
             with pytest.raises(InconsistentAlgebraError,
                                match="unit" if i == 0 else "associativity"):
                 _validate(broken)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_packed_traces_match_the_convolution_kernel(monkeypatch, n):
+    calls = []
+
+    def spy(*args):
+        calls.append((args, _triple_traces(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr("lgquot.oracle._triple_traces", spy)
+    _structure_constants(n)
+    [(args, traces)] = calls
+    assert traces == _triple_traces_by_convolution(*args)
+
+
+@pytest.mark.parametrize("phi", [1, 4, 16])
+def test_packed_slot_holds_extreme_coefficients(phi):
+    # vectors at +-the largest magnitude, zero and all-negative, against the
+    # loop kernel; with every entry at its largest magnitude the slot read is
+    # +-phi^3 max|u| max|q|^2 max|sums|, the largest trace those magnitudes allow
+    rng = random.Random(phi)
+    span = 3 * phi - 2
+    for top_u, top_q, top_c in [(1, 1, 1), (7, 3, 12), (2**40 + 1, 2**33 - 1, 2**20)]:
+        def vectors(top, length=phi):
+            return [[top] * length, [-top] * length, [0] * length,
+                    [rng.choice((-top, 0, top)) for _ in range(length)],
+                    [rng.choice((-top, top)) for _ in range(length)]]
+
+        u, q = vectors(top_u), vectors(top_q)
+        orbits = [(1, u, q), (3, q, u), (5, vectors(top_u), q)]
+        keys = {key: t for t, key in enumerate(
+            (a, b, c) for a in range(5) for b in range(a, 5) for c in range(b, 5))}
+        for sums in vectors(top_c, span):
+            assert (_triple_traces(orbits, keys, sums)
+                    == _triple_traces_by_convolution(orbits, keys, sums))
+        extreme = phi**3 * top_u * top_q**2 * top_c
+        signs = {(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 1): 1, (1, 1, 1): -1}
+        corners = {key: t for t, key in enumerate(signs)}
+        for sums, sign in ([top_c] * span, 1), ([-top_c] * span, -1):
+            expected = [sign * s * extreme for s in signs.values()]
+            assert _triple_traces([(1, u, q)], corners, sums) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cache_text_is_the_json_encoding(n):
+    algebra = build_qh_algebra(n)
+    assert _cache_text(algebra) == json.dumps(_cache_payload(algebra), indent=1)
+
+
+@pytest.mark.parametrize("constants", [
+    {(0, 0): ((0, 0, 1),), (0, 1): ((1, 0, 1),), (1, 1): ((0, 12, 2**64 + 5), (1, 10, 3))},
+    {(0, 0): (), (0, 1): (), (1, 1): ()},
+], ids=["large", "no-rows"])
+def test_cache_text_of_synthetic_algebras(constants):
+    # a constant above 2^64, degrees of two digits, the empty label () in
+    # every row, and a file with no constants rows at all
+    algebra = QHAlgebra(1, tuple(strict_partitions(1)), constants)
+    assert _cache_text(algebra) == json.dumps(_cache_payload(algebra), indent=1)
+
+
+@pytest.mark.parametrize("damage", ["swap", "raise"])
+def test_broken_cache_file_is_rebuilt(tmp_path, monkeypatch, caplog, damage):
+    # a file that parses but whose constants are wrong: lam and mu swapped in
+    # one row (a key that no product reads), or one constant raised by 1
+    fresh = build_qh_algebra(3, cache_dir=tmp_path)
+    path = _cache_path(3, tmp_path)
+    payload = json.loads(path.read_text())
+    rows = payload["constants"]
+    if damage == "swap":
+        row = next(row for row in rows if row[0] != row[1])
+        row[0], row[1] = row[1], row[0]
+    else:
+        rows[0][4] = str(int(rows[0][4]) + 1)
+    path.write_text(json.dumps(payload, indent=1))
+    assert (_load_cache(3, path) is None) == (damage == "swap")
+    with caplog.at_level(logging.WARNING, logger="lgquot.oracle"):
+        assert build_qh_algebra(3, cache_dir=tmp_path) == fresh
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "986d93f521898fa02ffe14346fb26e1f4e4bc27e9f817ea687fa64491b245a84")
+    # only a loaded algebra that fails the ring axioms is reported
+    assert ("rejected and rebuilt" in caplog.text) == (damage == "raise")
+    path.write_text(json.dumps(payload, indent=1))
+    monkeypatch.setenv("LGQ_CACHE_DIR", str(tmp_path))
+    assert main(["verify", "--suite", "oracle", "--max-n", "3"]) == 0
+
+
+def test_failing_fresh_build_raises_and_saves_nothing(tmp_path, monkeypatch):
+    # a built algebra is checked before it is saved, and a failure raises
+    built = _structure_constants(2)
+    monkeypatch.setattr("lgquot.oracle._structure_constants", lambda n: {**built, (0, 0): ()})
+    with pytest.raises(InconsistentAlgebraError, match="unit fails on basis element 0"):
+        build_qh_algebra(2, cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
