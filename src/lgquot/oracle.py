@@ -3,7 +3,8 @@
 The specialized quantum cohomology ring of the rank-n Lagrangian Grassmannian
 (deformation parameter set to 1) is a commutative 2^n-dimensional algebra over
 the rationals whose structure constants are genus-zero three-point invariants.
-Once built, every genus-g invariant is a trace:
+They are built from the quantum Pieri rule (`_pieri_terms`).  Once built,
+every genus-g invariant is a trace:
 
     invariant = tr( [E]^(g-1) * [class_1] * ... * [class_m] )
 
@@ -11,17 +12,16 @@ where [x] is the multiplication operator of x and E is the quantum Euler
 class, the sum over the basis of each class times its complementary-partition
 partner.
 
-What the oracle checks independently: the structure constants are summed over
-the orbits of the evaluation points under rotation and Galois maps, through
-field traces, while `gw_invariant` sums the 2^n points one by one.  The
-exception is a gw whose insertions are all the staircase, at g >= 1 (every
-rank-1 gw at g >= 1 is one): it is a sum of traces over the same point orbits
-(`invariants._trace_sum`).  Both sides read the same point values (staircase
-Schur and qtilde values), so agreement of a trace with the direct formula
-compares two summation routes over those values.  Everything after the
-constants shares no code with the root-of-unity summation: the ring axioms are
-checked in integers, on packed rows of the product table, and the operators
-and traces are exact rational linear algebra.
+What the oracle checks independently: its structure constants come from a
+combinatorial rule on shifted diagrams, with no evaluation point, root of
+unity or cyclotomic number, while `gw_invariant` sums the paper's formula over
+the 2^n points.  So a trace that agrees with the direct formula, at any genus
+including 0, checks the formula against the ring itself.  A fresh build
+proves its ring commutative and associative from its operators
+(`_check_operators`); a reloaded file passes the ring axioms, checked in
+integers on packed rows of the product table (`_validate`).  The operators and
+traces are exact rational linear algebra.  Only `eigenvalue_check` reads point
+values.
 
 Structure constants are cached on disk as versioned JSON; see CACHE_FORMAT.
 """
@@ -32,21 +32,14 @@ import json
 import os
 import tempfile
 from fractions import Fraction
-from math import lcm
+from itertools import product
+from operator import add
 from pathlib import Path
 
 from ._frozen import Frozen
-from .cyclotomic import SingularEulerError, _ramanujan_sums, euler_phi
-from .invariants import _point_tables, gw_invariant  # noqa: F401 (the benchmark tracer wraps it)
-from .partitions import (
-    StrictPartition,
-    as_strict,
-    dual_partition,
-    point_orbits,
-    staircase,
-    strict_partitions,
-    summation_tuples,
-)
+from ._ring import SingularEulerError
+from .invariants import gw_invariant  # noqa: F401 (the benchmark tracer wraps it)
+from .partitions import StrictPartition, as_strict, dual_partition, strict_partitions
 
 __all__ = [
     "SingularEulerError",
@@ -63,9 +56,9 @@ __all__ = [
 
 CACHE_FORMAT_VERSION = 1
 
-# builds above this rank are refused: rank 7 builds uncached in 5.9-7.8 s on a shared
-# 2-core Xeon, of which constants 0.6-1.0 s, save 0.10-0.14 s and _validate 4.8-7.7 s;
-# rank 8 takes minutes
+# builds above this rank are refused: rank 7 builds uncached in 0.37-0.60 s on a shared
+# 2-core Xeon (operators 0.15-0.24 s, their checks 0.03-0.05 s), but a rank-7 reload
+# runs _validate, 4.9-6.1 s in all, and a rank-8 reload would take minutes
 _MAX_RANK = 7
 
 # CACHE_FORMAT: one JSON object per rank n, file qh_algebra_n{n}_v{version}.json:
@@ -208,123 +201,160 @@ class QHAlgebra(Frozen):
         return out
 
 
-def _structure_constants(n: int) -> dict:
-    """Structure constants as genus-zero three-point sums over the point orbits.
+# -- the quantum Pieri rule ----------------------------------------------------------
 
-    The constant of nu in lam * mu is the genus-0 invariant
-    2^(-n-d) * sum over the points of S^(-1) q_lam q_mu q_nu', with nu' the
-    dual of nu.  Its summand has degree d(n+1), so rotating a point leaves it
-    unchanged and a Galois map conjugates it; the field trace Tr is therefore
-    constant on each orbit of `point_orbits`, and the rational sum is
-    T / phi(m), with T = sum over orbits |O| * Tr(summand at the representative).
-    T is symmetric in its three classes, and every triple whose unordered
-    {lam, mu, nu'} agrees reads the same T, so each T is computed once: for
-    a <= b <= c it is Tr(u_a q_b q_c), u_a = S^(-1) q_a.  The u of every orbit
-    are put over one common denominator, and so are the q, so T has an integer
-    numerator over a known denominator, checked with divmod.  The traces are
-    read from packed integer products (`_triple_traces`).  The triples (i, j, k)
-    come from buckets of k by weight modulo n + 1, in (i, j, k) order, which
-    fixes the order of the constants in the cache file.
+
+def _pieri_terms(n: int, lam: tuple[int, ...]) -> list[tuple[int, tuple[int, ...], int]]:
+    """The terms (i, kappa, c) of sigma_i sigma_lam for every i = 1..n, at q = 1.
+
+    The quantum Pieri rule of the Lagrangian Grassmannian (Kresch and
+    Tamvakis, "Quantum cohomology of the Lagrangian Grassmannian", J. Algebraic
+    Geom. 12 (2003); its classical part is Hiller and Boe, Adv. Math. 62 (1986)):
+
+        sigma_i sigma_lam = sum_mu 2^N(mu) sigma_mu
+                            + sum_nu 2^(N(nu) - 1) sigma_(nu_2, nu_3, ...)
+
+    over strict mu with mu_1 <= n and nu with nu_1 = n + 1, of weight
+    |lam| + i, that interlace lam: mu_1 >= lam_1 >= mu_2 >= lam_2 >= ...  In
+    the shifted diagram (row r holds columns r .. r + lam_r - 1), N counts the
+    edge-connected components of the added boxes that miss the diagonal.  Row
+    r gains a_r = mu_r - lam_r boxes, at most lam_(r-1) - lam_r (the room; n + 1
+    - lam_1 in the first row).  Rows r - 1 and r touch exactly when row r is
+    full, mu_r = lam_(r-1): then mu_(r-1) = mu_r unless row r - 1 gained a box
+    too, so a full row below an empty one is not strict, and below a nonempty
+    one it joins that row's component.  Only the new last row reaches the
+    diagonal.  So N is the number of nonempty rows, less the full rows below
+    the first, less one if the last row is nonempty.
     """
-    backend, tables = _point_tables(n, "exact")
-    index = {J: t for t, J in enumerate(summation_tuples(n + 1))}
-    basis = strict_partitions(n)
-    position = {sp.parts: i for i, sp in enumerate(basis)}
-    dual = [position[dual_partition(sp).parts] for sp in basis]
-    top = staircase(n).parts
-    # (i, j, k, d): basis pairs i <= j, each k, and the map degree d their weights force
-    weights = [sp.weight for sp in basis]
-    buckets: list = [[] for _ in range(n + 1)]  # (k, weight of k) by weight mod n + 1
-    for k, wk in enumerate(weights):
-        buckets[wk % (n + 1)].append((k, wk))
-    triples = []
-    for i, wi in enumerate(weights):
-        for j in range(i, len(basis)):
-            total = wi + weights[j]
-            triples += [(i, j, k, (total - wk) // (n + 1))
-                        for k, wk in buckets[total % (n + 1)] if wk <= total]
-    keys: dict = {}  # sorted (a, b, c) -> position of its trace
-    reads = [keys.setdefault(tuple(sorted((i, j, dual[k]))), len(keys))
-             for i, j, k, _d in triples]
-    orbits = []
-    for rep, size in point_orbits(n + 1):
-        table = tables[index[rep]]
-        inverse = backend.power(table.schur(top), -1)
-        q = [table.qtilde(sp.parts) for sp in basis]
-        orbits.append((size, [inverse * x for x in q], q))
-    den_u = lcm(*(x.den for _size, u, _q in orbits for x in u))
-    den_q = lcm(*(x.den for _size, _u, q in orbits for x in q))
-    m = backend.order
-    phi = euler_phi(m)
-    vectors = [(size, [[c * (den_u // x.den) for c in x.num] for x in u],
-                [[c * (den_q // x.den) for c in x.num] for x in q]) for size, u, q in orbits]
-    # two periods of c_m: an unreduced triple product has 3 phi - 2 <= 2m coefficients
-    traces = _triple_traces(vectors, keys, (_ramanujan_sums(m) * 2)[:3 * phi - 2])
-    scale = phi * den_u * den_q**2
-    constants: dict = {(i, j): [] for i in range(len(basis)) for j in range(i, len(basis))}
-    for (i, j, k, d), t in zip(triples, reads):
-        den = scale << (n + d)
-        c, remainder = divmod(traces[t], den)
-        if remainder:
+    lows = lam + (0,)
+    room = [high - low for high, low in zip((n + 1,) + lam, lows)]
+    terms = []
+    for added in product(*(range(r + 1) for r in room)):
+        i = sum(added)
+        if not 0 < i <= n:
+            continue
+        full = [r for r in range(1, len(added)) if added[r] == room[r]]
+        if not all(added[r - 1] for r in full):
+            continue
+        N = len(added) - added.count(0) - len(full) - (added[-1] > 0)
+        mu = tuple(p for p in map(add, lows, added) if p)
+        if mu[0] > n:
+            terms.append((i, mu[1:], 2 ** (N - 1)))
+        else:
+            terms.append((i, mu, 2 ** N))
+    return terms
+
+
+def _apply(op: list, column: dict) -> dict:
+    """The operator `op`, a list of sparse columns, applied to a sparse vector."""
+    out: dict = {}
+    for k, c in column.items():
+        for j, e in op[k].items():
+            out[j] = out.get(j, 0) + c * e
+    return out
+
+
+def _pieri_operators(n: int, basis) -> list:
+    """The multiplication operator L_lam of every basis class, built from the rule.
+
+    ops[t][m] maps k to the coefficient of basis k in (basis t) * (basis m),
+    with no zero entries: column m of L_t.  The L_i of the one-part classes
+    are the rule's terms (`_pieri_terms`).  A longer lam = (a, rest) has
+    L_lam = L_a L_rest minus the operators of the other terms of
+    sigma_a sigma_rest, in which sigma_lam has coefficient 1.  lam is taken by
+    length ascending, then first part descending: every other classical term
+    of sigma_a sigma_rest is shorter or has a larger first part, and every
+    q-term is shorter, so each of their operators is built before L_lam.
+    """
+    index = {sp.parts: t for t, sp in enumerate(basis)}
+    dim = len(basis)
+    ops: list = [None] * dim
+    ops[0] = [{m: 1} for m in range(dim)]
+    for i in range(1, n + 1):
+        ops[index[(i,)]] = [{} for _ in range(dim)]
+    for m, sp in enumerate(basis):
+        for i, kappa, c in _pieri_terms(n, sp.parts):
+            ops[index[(i,)]][m][index[kappa]] = c
+    longer = sorted((sp.parts for sp in basis if len(sp.parts) > 1), key=lambda p: (len(p), -p[0]))
+    for parts in longer:
+        a, rest = parts[0], parts[1:]
+        t, first, low = index[parts], ops[index[(a,)]], ops[index[rest]]
+        others = dict(first[index[rest]])
+        if others.pop(t, None) != 1:
             raise InconsistentAlgebraError(
-                f"structure constant of {basis[k].parts} in {basis[i].parts} * "
-                f"{basis[j].parts} is not an integer: {Fraction(traces[t], den)}")
-        if c:
-            constants[(i, j)].append((k, d, c))
-    return {key: tuple(entries) for key, entries in constants.items()}
+                f"sigma_{parts} is not once in sigma_{a} * sigma_{rest}")
+        if any(ops[k] is None for k in others):
+            raise InconsistentAlgebraError(
+                f"sigma_{a} * sigma_{rest} has a term built after sigma_{parts}")
+        op = []
+        for m in range(dim):
+            column = _apply(first, low[m])
+            for k, c in others.items():
+                for j, e in ops[k][m].items():
+                    column[j] = column.get(j, 0) - c * e
+            op.append({j: c for j, c in column.items() if c})
+        ops[t] = op
+    return ops
 
 
-def _triple_traces(orbits, keys: dict, sums) -> list[int]:
-    """T = sum over orbits |O| * Tr(u_a q_b q_c) for each key (a, b, c) -> position of T.
+def _check_operators(basis, ops: list) -> None:
+    """The checks of a fresh build, which make its constants a commutative, associative ring.
 
-    `orbits` holds (|O|, u, q), u and q lists of integer vectors of one length
-    phi over the power basis of zeta.  The product u_a q_b q_c is not reduced
-    modulo the cyclotomic polynomial, so it has L = 3 phi - 2 coefficients,
-    and Tr(zeta^k) = sums[k] for every k < L (`len(sums)` is L).  So the
-    trace is the coefficient of x^(L-1) in (u_a q_b) (q_c rbar), with rbar
-    the sums reversed: a Kronecker substitution x = 2^s turns each vector
-    into one integer and the product into one integer product, formed once
-    per pair (a, b) and once per class c.  No coefficient of the four-fold
-    product, nor of q_c rbar, nor any partial sum of either, exceeds
-    max|u| max|q|^2 max|sums| phi^2 L in absolute value (if every u is 0, every
-    product is 0 whatever q_c rbar reads), so with s two bits
-    wider than twice that bound each slot holds its coefficient plus 2^(s-1)
-    without a carry, and a slot is read with one shift and mask.  Only slots
-    phi - 1 .. L - 1 of q_c rbar meet x^(L-1) in a product with the 2 phi - 1
-    slots of u_a q_b; they are cut out once per class, and the trace is slot
-    2 phi - 2 of the product with the cut.
+    Every entry is a positive integer (zeros are not stored), the L_i
+    commute, and L_lam e_0 = e_lam for every lam, e_0 the unit class.  Each
+    L_lam is a polynomial in the L_i, so the L_lam commute.  A polynomial p
+    in the L_i with p e_0 = 0 then has p e_lam = p L_lam e_0 = L_lam p e_0 = 0
+    for every lam, so p = 0: the map p -> p e_0 is one to one, and it carries
+    L_lam to e_lam.  The product lam * mu = L_lam e_mu, which the constants
+    store, is therefore the product of a commutative algebra of operators.
     """
-    span = len(sums)
-    rbar = sums[::-1]
-    traces = [0] * len(keys)
-    for size, u, q in orbits:
-        phi = len(q[0])
-        bound = (max(abs(c) for v in u for c in v) * max(abs(c) for v in q for c in v) ** 2
-                 * max(map(abs, sums)) * phi * phi * span)
-        s = (2 * bound).bit_length() + 2
-        half, mask = 1 << (s - 1), (1 << s) - 1
-        low, width = phi - 1, 2 * phi - 1
-        bias = half * (((1 << (s * span)) - 1) // mask)  # 2^(s-1) in each slot below L
-        kept = half * (((1 << (s * width)) - 1) // mask)
-        keep, shift = (1 << (s * width)) - 1, s * (width - 1)
-        U = [sum(c << (s * e) for e, c in enumerate(v) if c) for v in u]
-        Q = [sum(c << (s * e) for e, c in enumerate(v) if c) for v in q]
-        R = sum(c << (s * e) for e, c in enumerate(rbar) if c)
-        pairs: dict = {}
-        ends: dict = {}
-        for (a, b, c), t in keys.items():
-            w = pairs.get((a, b))
-            if w is None:
-                w = pairs[(a, b)] = U[a] * Q[b]
-            v = ends.get(c)
-            if v is None:
-                v = ends[c] = (((Q[c] * R + bias) >> (s * low)) & keep) - kept
-            traces[t] += size * ((((w * v + kept) >> shift) & mask) - half)
-    return traces
+    for t, op in enumerate(ops):
+        for m, column in enumerate(op):
+            for k, c in column.items():
+                if type(c) is not int or c < 1:
+                    raise InconsistentAlgebraError(
+                        f"coefficient of {basis[k].parts} in {basis[t].parts} * "
+                        f"{basis[m].parts} is {c}, not a positive integer")
+        if op[0] != {t: 1}:
+            raise InconsistentAlgebraError(
+                f"operator of {basis[t].parts} does not take the unit to {basis[t].parts}")
+    generators = [(sp.parts, ops[t]) for t, sp in enumerate(basis) if len(sp.parts) == 1]
+    for x, (a, left) in enumerate(generators):
+        for b, right in generators[x + 1:]:
+            for m, sp in enumerate(basis):
+                if _apply(left, right[m]) != _apply(right, left[m]):
+                    raise InconsistentAlgebraError(
+                        f"operators of {a} and {b} do not commute on {sp.parts}")
+
+
+def _pieri_constants(n: int, basis) -> dict:
+    """Structure constants from the quantum Pieri rule: the rows (i, j), i <= j, k ascending.
+
+    Row (i, j) is column j of L_i (`_pieri_operators`), each entry with the
+    map degree d = (|lam_i| + |lam_j| - |lam_k|) / (n + 1), which must be a
+    nonnegative integer.  The operators pass `_check_operators` first.
+    """
+    ops = _pieri_operators(n, basis)
+    _check_operators(basis, ops)
+    weights = [sp.weight for sp in basis]
+    constants = {}
+    for i, op in enumerate(ops):
+        for j in range(i, len(basis)):
+            row = []
+            for k, c in sorted(op[j].items()):
+                excess = weights[i] + weights[j] - weights[k]
+                d, remainder = divmod(excess, n + 1)
+                if remainder or d < 0:
+                    raise InconsistentAlgebraError(
+                        f"{basis[k].parts} in {basis[i].parts} * {basis[j].parts} has map "
+                        f"degree {Fraction(excess, n + 1)}")
+                row.append((k, d, c))
+            constants[(i, j)] = tuple(row)
+    return constants
 
 
 def _validate(algebra: QHAlgebra) -> None:
-    """Ring axioms checked on every build or load: unit, positivity, associativity.
+    """Ring axioms checked on every load: unit, positivity, associativity.
 
     Once the constants c_ij^k are known to be nonnegative integers,
     associativity is checked on packed integers.  Q[mid] packs c_{mid,k}^out in
@@ -453,10 +483,12 @@ def _load_cache(n: int, path: Path) -> QHAlgebra | None:
 def build_qh_algebra(n: int, use_cache: bool = True, cache_dir=None) -> QHAlgebra:
     """Build (or reload) the rank-n algebra; ring axioms are asserted either way.
 
-    A loaded algebra that fails them is logged and rebuilt, and the rebuilt one
-    saved over its file; a built one that fails them raises
-    InconsistentAlgebraError.  A cache that cannot be written is logged and the
-    algebra kept in memory.
+    A built algebra passes the checks of the operators its constants are read
+    from (`_pieri_constants`); a loaded one passes `_validate`, since its
+    constants were not built from its generators here.  A loaded algebra that
+    fails is logged and rebuilt, and the rebuilt one saved over its file; a
+    built one that fails raises InconsistentAlgebraError.  A cache that cannot
+    be written is logged and the algebra kept in memory.
     """
     if n < 1:
         raise ValueError(f"rank must be positive, got {n}")
@@ -471,8 +503,8 @@ def build_qh_algebra(n: int, use_cache: bool = True, cache_dir=None) -> QHAlgebr
             _log().warning("structure-constant cache %s rejected and rebuilt: %s", path, exc)
         else:
             return algebra
-    algebra = QHAlgebra(n, tuple(strict_partitions(n)), _structure_constants(n))
-    _validate(algebra)
+    basis = tuple(strict_partitions(n))
+    algebra = QHAlgebra(n, basis, _pieri_constants(n, basis))
     if use_cache:
         try:
             _save_cache(algebra, path)
@@ -555,6 +587,8 @@ def eigenvalue_check(algebra: QHAlgebra) -> bool:
 
         charpoly(op^(n+1))  ==  prod over points (x - qtilde(lam)^(n+1) / 2^w)
     """
+    from .invariants import _point_tables
+
     n = algebra.n
     backend, tables = _point_tables(n, "exact")
     half = Fraction(1, 2)

@@ -27,8 +27,10 @@ from .oracle import build_qh_algebra, mat_inverse, mult_operator, quantum_euler,
 
 __all__ = ["CheckOutcome", "identity_suite", "oracle_suite", "backend_suite", "run_suites"]
 
-# The oracle suite builds the algebras of ranks up to this one only: uncached,
-# rank 5 takes about 0.6 s in-process and rank 6 about 8 s.
+# The oracle suite checks ranks up to this one only.  The traces set the limit,
+# not the builds (ranks 1-6 build uncached in about 0.1 s in all): in-process
+# on a shared 2-core Xeon the suite takes about 4 s up to rank 5 and 24 s up
+# to rank 6, almost all of it Euler inverses, traces and direct sums.
 ORACLE_MAX_N = 5
 
 
@@ -165,7 +167,7 @@ def oracle_suite(max_n: int = 3, seed: int = 0, cases: int = 50) -> list[CheckOu
 
     def agreement(rng):
         n = rng.randint(1, max_n)
-        g = rng.randint(1, 3)
+        g = rng.randint(0, 3)
         while True:
             insertions = [random_strict(rng, n) for _ in range(rng.randint(0, 4))]
             d = required_degree(n, g, insertions)

@@ -2,13 +2,16 @@ import hashlib
 import json
 import logging
 import random
+import sys
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 import pytest
 
+from lgquot._ring import _ramanujan_sums, euler_phi
 from lgquot.cli import main
-from lgquot.invariants import gw_invariant, required_degree
+from lgquot.invariants import _point_tables, gw_invariant, required_degree
 from lgquot.oracle import (
     CACHE_FORMAT_VERSION,
     _MAX_RANK,
@@ -18,8 +21,8 @@ from lgquot.oracle import (
     _cache_path,
     _cache_text,
     _load_cache,
-    _structure_constants,
-    _triple_traces,
+    _pieri_constants,
+    _pieri_terms,
     _validate,
     build_qh_algebra,
     charpoly,
@@ -33,12 +36,134 @@ from lgquot.oracle import (
     quantum_euler,
     trace_invariant,
 )
-from lgquot.partitions import dual_partition, point_orbits, strict_partitions
+from lgquot.partitions import (
+    dual_partition,
+    point_orbits,
+    staircase,
+    strict_partitions,
+    summation_tuples,
+)
 
 
 @pytest.fixture(scope="module")
 def algebras():
     return {n: build_qh_algebra(n) for n in (1, 2, 3)}
+
+
+def _structure_constants(n: int) -> dict:
+    """Structure constants as genus-zero three-point sums over the point orbits: the point build.
+
+    The reference for the quantum Pieri build (`_pieri_constants`).  The
+    constant of nu in lam * mu is the genus-0 invariant
+    2^(-n-d) * sum over the points of S^(-1) q_lam q_mu q_nu', with nu' the
+    dual of nu.  Its summand has degree d(n+1), so rotating a point leaves it
+    unchanged and a Galois map conjugates it; the field trace Tr is therefore
+    constant on each orbit of `point_orbits`, and the rational sum is
+    T / phi(m), with T = sum over orbits |O| * Tr(summand at the representative).
+    T is symmetric in its three classes, and every triple whose unordered
+    {lam, mu, nu'} agrees reads the same T, so each T is computed once: for
+    a <= b <= c it is Tr(u_a q_b q_c), u_a = S^(-1) q_a.  The u of every orbit
+    are put over one common denominator, and so are the q, so T has an integer
+    numerator over a known denominator, checked with divmod.  The traces are
+    read from packed integer products (`_triple_traces`).  The triples (i, j, k)
+    come from buckets of k by weight modulo n + 1, in (i, j, k) order, so each
+    row lists k ascending, as the Pieri build does.
+    """
+    backend, tables = _point_tables(n, "exact")
+    index = {J: t for t, J in enumerate(summation_tuples(n + 1))}
+    basis = strict_partitions(n)
+    position = {sp.parts: i for i, sp in enumerate(basis)}
+    dual = [position[dual_partition(sp).parts] for sp in basis]
+    top = staircase(n).parts
+    # (i, j, k, d): basis pairs i <= j, each k, and the map degree d their weights force
+    weights = [sp.weight for sp in basis]
+    buckets: list = [[] for _ in range(n + 1)]  # (k, weight of k) by weight mod n + 1
+    for k, wk in enumerate(weights):
+        buckets[wk % (n + 1)].append((k, wk))
+    triples = []
+    for i, wi in enumerate(weights):
+        for j in range(i, len(basis)):
+            total = wi + weights[j]
+            triples += [(i, j, k, (total - wk) // (n + 1))
+                        for k, wk in buckets[total % (n + 1)] if wk <= total]
+    keys: dict = {}  # sorted (a, b, c) -> position of its trace
+    reads = [keys.setdefault(tuple(sorted((i, j, dual[k]))), len(keys))
+             for i, j, k, _d in triples]
+    orbits = []
+    for rep, size in point_orbits(n + 1):
+        table = tables[index[rep]]
+        inverse = backend.power(table.schur(top), -1)
+        q = [table.qtilde(sp.parts) for sp in basis]
+        orbits.append((size, [inverse * x for x in q], q))
+    den_u = lcm(*(x.den for _size, u, _q in orbits for x in u))
+    den_q = lcm(*(x.den for _size, _u, q in orbits for x in q))
+    m = backend.order
+    phi = euler_phi(m)
+    vectors = [(size, [[c * (den_u // x.den) for c in x.num] for x in u],
+                [[c * (den_q // x.den) for c in x.num] for x in q]) for size, u, q in orbits]
+    # two periods of c_m: an unreduced triple product has 3 phi - 2 <= 2m coefficients
+    traces = _triple_traces(vectors, keys, (_ramanujan_sums(m) * 2)[:3 * phi - 2])
+    scale = phi * den_u * den_q**2
+    constants: dict = {(i, j): [] for i in range(len(basis)) for j in range(i, len(basis))}
+    for (i, j, k, d), t in zip(triples, reads):
+        den = scale << (n + d)
+        c, remainder = divmod(traces[t], den)
+        if remainder:
+            raise InconsistentAlgebraError(
+                f"structure constant of {basis[k].parts} in {basis[i].parts} * "
+                f"{basis[j].parts} is not an integer: {Fraction(traces[t], den)}")
+        if c:
+            constants[(i, j)].append((k, d, c))
+    return {key: tuple(entries) for key, entries in constants.items()}
+
+
+def _triple_traces(orbits, keys: dict, sums) -> list[int]:
+    """T = sum over orbits |O| * Tr(u_a q_b q_c) for each key (a, b, c) -> position of T.
+
+    `orbits` holds (|O|, u, q), u and q lists of integer vectors of one length
+    phi over the power basis of zeta.  The product u_a q_b q_c is not reduced
+    modulo the cyclotomic polynomial, so it has L = 3 phi - 2 coefficients,
+    and Tr(zeta^k) = sums[k] for every k < L (`len(sums)` is L).  So the
+    trace is the coefficient of x^(L-1) in (u_a q_b) (q_c rbar), with rbar
+    the sums reversed: a Kronecker substitution x = 2^s turns each vector
+    into one integer and the product into one integer product, formed once
+    per pair (a, b) and once per class c.  No coefficient of the four-fold
+    product, nor of q_c rbar, nor any partial sum of either, exceeds
+    max|u| max|q|^2 max|sums| phi^2 L in absolute value (if every u is 0, every
+    product is 0 whatever q_c rbar reads), so with s two bits
+    wider than twice that bound each slot holds its coefficient plus 2^(s-1)
+    without a carry, and a slot is read with one shift and mask.  Only slots
+    phi - 1 .. L - 1 of q_c rbar meet x^(L-1) in a product with the 2 phi - 1
+    slots of u_a q_b; they are cut out once per class, and the trace is slot
+    2 phi - 2 of the product with the cut.
+    """
+    span = len(sums)
+    rbar = sums[::-1]
+    traces = [0] * len(keys)
+    for size, u, q in orbits:
+        phi = len(q[0])
+        bound = (max(abs(c) for v in u for c in v) * max(abs(c) for v in q for c in v) ** 2
+                 * max(map(abs, sums)) * phi * phi * span)
+        s = (2 * bound).bit_length() + 2
+        half, mask = 1 << (s - 1), (1 << s) - 1
+        low, width = phi - 1, 2 * phi - 1
+        bias = half * (((1 << (s * span)) - 1) // mask)  # 2^(s-1) in each slot below L
+        kept = half * (((1 << (s * width)) - 1) // mask)
+        keep, shift = (1 << (s * width)) - 1, s * (width - 1)
+        U = [sum(c << (s * e) for e, c in enumerate(v) if c) for v in u]
+        Q = [sum(c << (s * e) for e, c in enumerate(v) if c) for v in q]
+        R = sum(c << (s * e) for e, c in enumerate(rbar) if c)
+        pairs: dict = {}
+        ends: dict = {}
+        for (a, b, c), t in keys.items():
+            w = pairs.get((a, b))
+            if w is None:
+                w = pairs[(a, b)] = U[a] * Q[b]
+            v = ends.get(c)
+            if v is None:
+                v = ends[c] = (((Q[c] * R + bias) >> (s * low)) & keep) - kept
+            traces[t] += size * ((((w * v + kept) >> shift) & mask) - half)
+    return traces
 
 
 def _structure_constants_by_calls(n: int) -> dict:
@@ -232,11 +357,12 @@ def test_euler_operator_invertible_up_to_rank_three(algebras):
 
 
 def test_trace_matches_direct_formula(algebras):
+    # genus 0 included: the constants come from the rule, not the points
     rng = random.Random(42)
     checked = 0
     while checked < 50:
         n = rng.randint(1, 3)
-        g = rng.randint(1, 3)
+        g = rng.randint(0, 3)
         insertions = [
             tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n)), reverse=True))
             for _ in range(rng.randint(0, 4))
@@ -351,8 +477,7 @@ def test_projective_degree_against_classical_pieri(n, degree):
 
 
 def test_rank_four_oracle_spot_checks():
-    # beyond the required grid: the rank-4 build sums 413 genus-zero invariants
-    # over 3 point orbits
+    # beyond the required grid: traces of the rank-4 algebra built from the rule
     a4 = build_qh_algebra(4)
     for g, ins in [(2, [(4, 3, 2, 1)]), (3, [(4, 2), (3, 1)]), (1, [(2, 1), (3, 2)])]:
         d = required_degree(4, g, ins)
@@ -485,11 +610,11 @@ def test_packed_validation_slots_hold_large_constants():
         _validate(broken)
 
 
-def test_rank_above_limit_refused_before_point_tables(tmp_path, monkeypatch):
-    def no_tables(*args):
-        raise AssertionError("point tables built")
+def test_rank_above_limit_refused_before_building(tmp_path, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("algebra built")
 
-    monkeypatch.setattr("lgquot.oracle._point_tables", no_tables)
+    monkeypatch.setattr("lgquot.oracle._pieri_constants", no_build)
     with pytest.raises(ValueError, match=f"limit {_MAX_RANK}"):
         build_qh_algebra(_MAX_RANK + 1, cache_dir=tmp_path)
     assert list(tmp_path.iterdir()) == []
@@ -508,17 +633,23 @@ def test_orbit_constants_match_per_call_build(n):
     assert _structure_constants(n) == _structure_constants_by_calls(n)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pieri_constants_match_the_point_build(n):
+    # the quantum Pieri rule against the paper's genus-zero sums over the points
+    assert _pieri_constants(n, tuple(strict_partitions(n))) == _structure_constants(n)
+
+
 @pytest.mark.parametrize("position,value", [(0, "21/20"), (1, "21/20"), (2, "5/4")])
 def test_orbit_size_error_names_the_first_non_integer_constant(monkeypatch, position, value):
     # one rank-4 orbit counted one point too large: the unit's square is the
     # first triple, and its constant is no longer an integer
-    def one_too_large(N):
+    def one_too_large(N, point_orbits=point_orbits):
         orbits = list(point_orbits(N))
         rep, size = orbits[position]
         orbits[position] = (rep, size + 1)
         return tuple(orbits)
 
-    monkeypatch.setattr("lgquot.oracle.point_orbits", one_too_large)
+    monkeypatch.setattr(sys.modules[__name__], "point_orbits", one_too_large)
     message = f"structure constant of () in () * () is not an integer: {value}"
     with pytest.raises(InconsistentAlgebraError) as excinfo:
         _structure_constants(4)
@@ -541,11 +672,11 @@ def test_validation_rejects_raised_constant(algebras):
 def test_packed_traces_match_the_convolution_kernel(monkeypatch, n):
     calls = []
 
-    def spy(*args):
-        calls.append((args, _triple_traces(*args)))
+    def spy(*args, kernel=_triple_traces):
+        calls.append((args, kernel(*args)))
         return calls[-1][1]
 
-    monkeypatch.setattr("lgquot.oracle._triple_traces", spy)
+    monkeypatch.setattr(sys.modules[__name__], "_triple_traces", spy)
     _structure_constants(n)
     [(args, traces)] = calls
     assert traces == _triple_traces_by_convolution(*args)
@@ -623,9 +754,69 @@ def test_broken_cache_file_is_rebuilt(tmp_path, monkeypatch, caplog, damage):
 
 
 def test_failing_fresh_build_raises_and_saves_nothing(tmp_path, monkeypatch):
-    # a built algebra is checked before it is saved, and a failure raises
-    built = _structure_constants(2)
-    monkeypatch.setattr("lgquot.oracle._structure_constants", lambda n: {**built, (0, 0): ()})
-    with pytest.raises(InconsistentAlgebraError, match="unit fails on basis element 0"):
+    # a built algebra is checked before it is saved, and a failure raises: here
+    # the rule loses sigma_1 * sigma_() = sigma_1
+    def no_unit_term(n, lam):
+        return [term for term in _pieri_terms(n, lam) if term[0] != 1 or lam]
+
+    monkeypatch.setattr("lgquot.oracle._pieri_terms", no_unit_term)
+    with pytest.raises(InconsistentAlgebraError,
+                       match=r"operator of \(1,\) does not take the unit to \(1,\)"):
         build_qh_algebra(2, cache_dir=tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_fresh_build_checks_map_degrees(tmp_path, monkeypatch):
+    # sigma_1^2 = sigma_1 at rank 1 is a commutative, associative ring with
+    # positive constants, but sigma_1 has no map degree in it: (1 + 1 - 1) / 2
+    def idempotent(n, lam):
+        return [(1, (1,), 1)] if lam == (1,) else _pieri_terms(n, lam)
+
+    monkeypatch.setattr("lgquot.oracle._pieri_terms", idempotent)
+    with pytest.raises(InconsistentAlgebraError,
+                       match=r"^\(1,\) in \(1,\) \* \(1,\) has map degree 1/2$"):
+        build_qh_algebra(1, cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def _mutations(n, lam, kind):
+    """Each term list of sigma_i sigma_lam, i = 1..n, with one mutation of the given kind."""
+    terms = _pieri_terms(n, lam)
+    if kind == "raise":  # a zero constant raised to 1
+        present = {(i, kappa) for i, kappa, _c in terms}
+        yield from (terms + [(i, sp.parts, 1)] for i in range(1, n + 1)
+                    for sp in strict_partitions(n) if (i, sp.parts) not in present)
+    for p, (i, kappa, c) in enumerate(terms):
+        if kind == "power-up":
+            changed = [(i, kappa, 2 * c)]
+        elif kind == "power-down":
+            changed = [(i, kappa, Fraction(c, 2) if c % 2 else c // 2)]
+        elif kind == "raise":
+            changed = [(i, kappa, c + 1)]
+        elif sum(kappa) < sum(lam) + i:  # a q-term, dropped
+            changed = []
+        else:
+            continue
+        yield terms[:p] + changed + terms[p + 1:]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["power-up", "power-down", "drop-q-term", "raise"])
+def test_rule_mutations_fail_the_fresh_build(tmp_path, monkeypatch, kind, n):
+    # one at a time: each coefficient of the rule one power of 2 off (up or
+    # down), each q-term dropped, or each constant of a generator operator, zero
+    # or not, raised by 1; the build raises and saves nothing.  (At rank 1 some
+    # of them stay a ring: sigma_1^2 = 2 or 0.)
+    mutated = 0
+    for sp in strict_partitions(n):
+        for terms in _mutations(n, sp.parts, kind):
+            def rule(n_, lam, lam_mutated=sp.parts, terms=terms):
+                return terms if lam == lam_mutated else _pieri_terms(n_, lam)
+
+            monkeypatch.setattr("lgquot.oracle._pieri_terms", rule)
+            with pytest.raises(InconsistentAlgebraError):
+                build_qh_algebra(n, cache_dir=tmp_path)
+            mutated += 1
+    assert mutated > 0
+    assert list(tmp_path.iterdir()) == []
+

@@ -94,6 +94,18 @@ def test_import_loads_neither_the_tables_nor_the_oracle(tmp_path):
     assert _run_script(script, tmp_path) == [[], TABLES]
 
 
+def test_oracle_build_loads_neither_the_field_nor_the_tables(tmp_path):
+    # the algebra comes from the quantum Pieri rule: no point, no cyclotomic number
+    script = (
+        f"import json, sys; sys.path.insert(0, {SRC!r}); "
+        f"from lgquot.oracle import build_qh_algebra; "
+        f"build_qh_algebra(4, cache_dir={str(tmp_path)!r}); "
+        f"print(json.dumps([m for m in {LEAN!r} if m in sys.modules]))"
+    )
+    assert _run_script(script, tmp_path) == ["lgquot.oracle"]
+    assert [p.name for p in tmp_path.iterdir()] == ["qh_algebra_n4_v1.json"]
+
+
 @pytest.mark.parametrize("argv, loaded", [
     (COUNT, []),
     (COUNT_BOTH, FLOAT),
