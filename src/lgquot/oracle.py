@@ -18,10 +18,11 @@ unity or cyclotomic number, while `gw_invariant` sums the paper's formula over
 the 2^n points.  So a trace that agrees with the direct formula, at any genus
 including 0, checks the formula against the ring itself.  A fresh build
 proves its ring commutative and associative from its operators
-(`_check_operators`); a reloaded file passes the ring axioms, checked in
-integers on packed rows of the product table (`_validate`).  The operators and
-traces are exact rational linear algebra.  Only `eigenvalue_check` reads point
-values.
+(`_check_operators`).  A reloaded file is checked by the same code: the
+generator operators are read from its rows, every other operator is rebuilt
+from them, and each row must be the one the rebuilt operators give
+(`_check_rows`).  The operators and traces are exact rational linear algebra.
+Only `eigenvalue_check` reads point values.
 
 Structure constants are cached on disk as versioned JSON; see CACHE_FORMAT.
 """
@@ -56,16 +57,17 @@ __all__ = [
 
 CACHE_FORMAT_VERSION = 1
 
-# builds above this rank are refused: rank 7 builds uncached in 0.37-0.60 s on a shared
-# 2-core Xeon (operators 0.15-0.24 s, their checks 0.03-0.05 s), but a rank-7 reload
-# runs _validate, 4.9-6.1 s in all, and a rank-8 reload would take minutes
+# builds above this rank are refused.  In fresh processes on a shared 2-core Xeon, rank 7
+# builds uncached in 0.37-0.60 s (operators 0.15-0.24 s, their checks 0.03-0.05 s) and
+# reloads its 10 MB file in 0.60-0.90 s (json.loads 0.22-0.29 s); rank 8 builds in
+# 2.7-2.9 s and reloads its 80 MB file in 4.8-5.3 s, each at about 370 MB peak RSS
 _MAX_RANK = 7
 
 # CACHE_FORMAT: one JSON object per rank n, file qh_algebra_n{n}_v{version}.json:
 #   {"format_version": 1, "n": 2,
 #    "basis": [[], [1], [2], [2, 1]],
 #    "constants": [[[lam], [mu], [nu], d, "c"], ...]}
-# Rows are sorted; the structure constant c is a decimal string.
+# Rows are sorted; d is a JSON integer, and the structure constant c a string of decimal digits.
 
 
 class InconsistentAlgebraError(RuntimeError):
@@ -254,27 +256,33 @@ def _apply(op: list, column: dict) -> dict:
     return out
 
 
-def _pieri_operators(n: int, basis) -> list:
-    """The multiplication operator L_lam of every basis class, built from the rule.
+def _rule_generators(n: int, basis) -> dict:
+    """The operator L_i of each one-part class, by basis index, from the rule (`_pieri_terms`)."""
+    index = {sp.parts: t for t, sp in enumerate(basis)}
+    generators = {index[(i,)]: [{} for _ in basis] for i in range(1, n + 1)}
+    for m, sp in enumerate(basis):
+        for i, kappa, c in _pieri_terms(n, sp.parts):
+            generators[index[(i,)]][m][index[kappa]] = c
+    return generators
 
-    ops[t][m] maps k to the coefficient of basis k in (basis t) * (basis m),
-    with no zero entries: column m of L_t.  The L_i of the one-part classes
-    are the rule's terms (`_pieri_terms`).  A longer lam = (a, rest) has
-    L_lam = L_a L_rest minus the operators of the other terms of
-    sigma_a sigma_rest, in which sigma_lam has coefficient 1.  lam is taken by
-    length ascending, then first part descending: every other classical term
-    of sigma_a sigma_rest is shorter or has a larger first part, and every
-    q-term is shorter, so each of their operators is built before L_lam.
+
+def _pieri_operators(basis, generators: dict) -> list:
+    """The multiplication operator L_lam of every basis class, built from the generators L_i.
+
+    ops[t][m] maps k to the coefficient of basis k in (basis t) * (basis m):
+    column m of L_t.  `generators` gives L_i by basis index, from the rule
+    (`_rule_generators`) or from a loaded algebra's rows.  A longer
+    lam = (a, rest) has L_lam = L_a L_rest minus the operators of the other
+    terms of sigma_a sigma_rest, in which sigma_lam has coefficient 1.  lam is
+    taken by length ascending, then first part descending: every other
+    classical term of sigma_a sigma_rest is shorter or has a larger first
+    part, and every q-term is shorter, so each of their operators is built
+    before L_lam.
     """
     index = {sp.parts: t for t, sp in enumerate(basis)}
     dim = len(basis)
-    ops: list = [None] * dim
+    ops: list = [generators.get(t) for t in range(dim)]
     ops[0] = [{m: 1} for m in range(dim)]
-    for i in range(1, n + 1):
-        ops[index[(i,)]] = [{} for _ in range(dim)]
-    for m, sp in enumerate(basis):
-        for i, kappa, c in _pieri_terms(n, sp.parts):
-            ops[index[(i,)]][m][index[kappa]] = c
     longer = sorted((sp.parts for sp in basis if len(sp.parts) > 1), key=lambda p: (len(p), -p[0]))
     for parts in longer:
         a, rest = parts[0], parts[1:]
@@ -298,7 +306,7 @@ def _pieri_operators(n: int, basis) -> list:
 
 
 def _check_operators(basis, ops: list) -> None:
-    """The checks of a fresh build, which make its constants a commutative, associative ring.
+    """The checks that make the constants read from `ops` a commutative, associative ring.
 
     Every entry is a positive integer (zeros are not stored), the L_i
     commute, and L_lam e_0 = e_lam for every lam, e_0 the unit class.  Each
@@ -307,6 +315,7 @@ def _check_operators(basis, ops: list) -> None:
     for every lam, so p = 0: the map p -> p e_0 is one to one, and it carries
     L_lam to e_lam.  The product lam * mu = L_lam e_mu, which the constants
     store, is therefore the product of a commutative algebra of operators.
+    This holds for any generators, from the rule or read from a file's rows.
     """
     for t, op in enumerate(ops):
         for m, column in enumerate(op):
@@ -327,14 +336,13 @@ def _check_operators(basis, ops: list) -> None:
                         f"operators of {a} and {b} do not commute on {sp.parts}")
 
 
-def _pieri_constants(n: int, basis) -> dict:
-    """Structure constants from the quantum Pieri rule: the rows (i, j), i <= j, k ascending.
+def _operator_constants(n: int, basis, ops: list) -> dict:
+    """Structure constants read from the operators: the rows (i, j), i <= j, k ascending.
 
-    Row (i, j) is column j of L_i (`_pieri_operators`), each entry with the
-    map degree d = (|lam_i| + |lam_j| - |lam_k|) / (n + 1), which must be a
-    nonnegative integer.  The operators pass `_check_operators` first.
+    Row (i, j) is column j of L_i, each entry with the map degree
+    d = (|lam_i| + |lam_j| - |lam_k|) / (n + 1), which must be a nonnegative
+    integer.  The operators pass `_check_operators` first.
     """
-    ops = _pieri_operators(n, basis)
     _check_operators(basis, ops)
     weights = [sp.weight for sp in basis]
     constants = {}
@@ -353,53 +361,30 @@ def _pieri_constants(n: int, basis) -> dict:
     return constants
 
 
-def _validate(algebra: QHAlgebra) -> None:
-    """Ring axioms checked on every load: unit, positivity, associativity.
+def _pieri_constants(n: int, basis) -> dict:
+    """Structure constants of a fresh build, from the quantum Pieri rule's generators."""
+    return _operator_constants(n, basis, _pieri_operators(basis, _rule_generators(n, basis)))
 
-    Once the constants c_ij^k are known to be nonnegative integers,
-    associativity is checked on packed integers.  Q[mid] packs c_{mid,k}^out in
-    slot (k, out), so the row of (j, i), sum_mid c_ji^mid Q[mid], holds (j*i)*k
-    in block k.  The table is symmetric, so i*(j*k) = (j*k)*i: the triple
-    (i, j, k) is associative exactly when block k of the row of (j, i) equals
-    block i of the row of (j, k).  A slot is at most the largest row sum of
-    constants times the largest constant; slots are whole bytes at least that
-    bound's bit length wide, so none carries and blocks compare as bytes.
+
+def _check_rows(algebra: QHAlgebra) -> None:
+    """The check of a loaded algebra: its rows are the ones its own generators build.
+
+    Column m of L_i is read from row (i, m), zero entries included, so that
+    `_check_operators` sees them.  Every longer L_lam is rebuilt from the L_i
+    as a fresh build does, and every row (i, j) must equal the rebuilt row,
+    k, d and c alike.  The rebuilt rows are read from operators that pass
+    `_check_operators`, so the loaded table is commutative and associative,
+    as a fresh build's is.
     """
-    dim = algebra.dim
-    if algebra.basis[0].parts != ():
-        raise InconsistentAlgebraError("basis does not start with the unit class")
-    for entries in algebra.constants.values():
-        for _k, d, c in entries:
-            if d < 0 or c < 0 or c != int(c):
-                raise InconsistentAlgebraError(f"bad structure constant ({d}, {c})")
-    rows = [[None] * dim for _ in range(dim)]  # rows[i][j] = {k: c_ij^k}
-    for i in range(dim):
-        for j in range(i, dim):
-            row = rows[i][j] = rows[j][i] = {}
-            for k, _d, c in algebra.pair_constants(i, j):
-                if c:
-                    row[k] = row.get(k, 0) + int(c)
-    for k in range(dim):
-        if rows[0][k] != {k: 1}:
-            raise InconsistentAlgebraError(f"unit fails on basis element {k}")
-    flat = [r for rr in rows for r in rr]
-    bound = max(max(r.values(), default=0) for r in flat) * max(sum(r.values()) for r in flat)
-    slot = (bound.bit_length() + 7) // 8 or 1  # bytes
-    block = slot * dim
-    Q = [sum(c << (8 * slot * (dim * k + out)) for k, r in enumerate(rr) for out, c in r.items())
-         for rr in rows]
-    first = None
-    for j in range(dim):
-        packed = [sum(c * Q[mid] for mid, c in r.items()).to_bytes(block * dim, "little")
-                  for r in rows[j]]
-        for i, row in enumerate(packed):
-            k = next((k for k in range(i + 1, dim) if row[k * block:(k + 1) * block]
-                      != packed[k][i * block:(i + 1) * block]), None)
-            if k is not None:  # the smallest failing i for this j, and its smallest k
-                first = min(first or (i, j, k), (i, j, k))
-                break
-    if first:
-        raise InconsistentAlgebraError(f"associativity fails on basis triple {first}")
+    basis, loaded, columns = algebra.basis, algebra.constants, range(algebra.dim)
+    generators = {t: [{k: c for k, _d, c in algebra.pair_constants(t, m)} for m in columns]
+                  for t, sp in enumerate(basis) if len(sp.parts) == 1}
+    rebuilt = _operator_constants(algebra.n, basis, _pieri_operators(basis, generators))
+    if rebuilt != loaded:
+        i, j = next(key for key in sorted(rebuilt.keys() | loaded.keys())
+                    if rebuilt.get(key) != loaded.get(key))
+        raise InconsistentAlgebraError(
+            f"row {basis[i].parts} * {basis[j].parts} is not the one its generators build")
 
 
 def default_cache_dir() -> Path:
@@ -471,7 +456,9 @@ def _load_cache(n: int, path: Path) -> QHAlgebra | None:
             i, j, k = index[tuple(lam)], index[tuple(mu)], index[tuple(nu)]
             if i > j:  # stored under (i, j), a key that `pair_constants` never reads
                 return None
-            constants.setdefault((i, j), []).append((k, int(d), int(c)))
+            if type(d) is not int or type(c) is not str or not c.isdecimal():
+                return None  # int() would load a d of 0.7 as 0, and a c of 1.5 as 1
+            constants.setdefault((i, j), []).append((k, d, int(c)))
     except (KeyError, TypeError, ValueError):
         return None
     for i in range(len(basis)):
@@ -484,8 +471,9 @@ def build_qh_algebra(n: int, use_cache: bool = True, cache_dir=None) -> QHAlgebr
     """Build (or reload) the rank-n algebra; ring axioms are asserted either way.
 
     A built algebra passes the checks of the operators its constants are read
-    from (`_pieri_constants`); a loaded one passes `_validate`, since its
-    constants were not built from its generators here.  A loaded algebra that
+    from (`_pieri_constants`).  A loaded one is checked by the same code: its
+    generators, read from its rows, rebuild every operator, and its rows must
+    be the ones those operators give (`_check_rows`).  A loaded algebra that
     fails is logged and rebuilt, and the rebuilt one saved over its file; a
     built one that fails raises InconsistentAlgebraError.  A cache that cannot
     be written is logged and the algebra kept in memory.
@@ -498,7 +486,7 @@ def build_qh_algebra(n: int, use_cache: bool = True, cache_dir=None) -> QHAlgebr
     algebra = _load_cache(n, path) if use_cache else None
     if algebra is not None:
         try:
-            _validate(algebra)
+            _check_rows(algebra)
         except InconsistentAlgebraError as exc:
             _log().warning("structure-constant cache %s rejected and rebuilt: %s", path, exc)
         else:

@@ -20,10 +20,10 @@ from lgquot.oracle import (
     SingularEulerError,
     _cache_path,
     _cache_text,
+    _check_rows,
     _load_cache,
     _pieri_constants,
     _pieri_terms,
-    _validate,
     build_qh_algebra,
     charpoly,
     eigenvalue_check,
@@ -512,9 +512,13 @@ def test_cache_roundtrip(tmp_path):
     (5, "a31349eac56e1461067aa0d39b9fb4eba207c3ac7740b9b3c00b2073347dab2b"),
 ])
 def test_cache_files_are_pinned(tmp_path, n, digest):
-    # the written file does not depend on which point represents an orbit
-    build_qh_algebra(n, cache_dir=tmp_path)
-    assert hashlib.sha256(_cache_path(n, tmp_path).read_bytes()).hexdigest() == digest
+    # the pinned file passes the reload check as it stands
+    built = build_qh_algebra(n, cache_dir=tmp_path)
+    path = _cache_path(n, tmp_path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    loaded = _load_cache(n, path)
+    _check_rows(loaded)
+    assert loaded == built
 
 
 def test_cache_version_mismatch_triggers_rebuild(tmp_path):
@@ -563,6 +567,27 @@ def test_corrupt_cache_is_ignored(tmp_path, payload):
     assert algebra.dim == 8
 
 
+@pytest.mark.parametrize("column,value", [
+    (3, 0.7), (3, True), (3, "0"), (4, 1.5), (4, 2), (4, "1.5"), (4, "-1"),
+], ids=["d-float", "d-bool", "d-string", "c-float", "c-int", "c-fraction", "c-negative"])
+def test_cache_with_a_non_integer_entry_is_rebuilt(tmp_path, caplog, column, value):
+    # d must be a JSON integer and c a string of decimal digits (CACHE_FORMAT);
+    # anything else makes the file unusable, as text that is not JSON does,
+    # rather than be read through int(), which loads 0.7 as 0 and 1.5 as 1
+    fresh = build_qh_algebra(3, cache_dir=tmp_path)
+    path = _cache_path(3, tmp_path)
+    payload = json.loads(path.read_text())
+    row = next(row for row in payload["constants"] if row[3] == 0 and row[4] == "1")
+    row[column] = value
+    path.write_text(json.dumps(payload, indent=1))
+    assert _load_cache(3, path) is None
+    with caplog.at_level(logging.WARNING, logger="lgquot.oracle"):
+        assert build_qh_algebra(3, cache_dir=tmp_path) == fresh
+    assert caplog.text == ""
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "986d93f521898fa02ffe14346fb26e1f4e4bc27e9f817ea687fa64491b245a84")
+
+
 def _failure(validator, algebra):
     try:
         validator(algebra)
@@ -571,43 +596,55 @@ def _failure(validator, algebra):
     return None
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_packed_validation_names_the_reference_failure(n):
-    # every constant raised by 1, and lowered by 1 where positive: the packed
-    # check and the dict reference give the same verdict and message, naming
-    # the same triple (a few changes, such as x^2 = 2 at rank 1, stay a ring)
-    algebra = build_qh_algebra(n)
-    rejected = 0
+def _row_mutations(algebra):
+    """Each table with one entry changed: c up or down by 1, the entry dropped, or d up by 1.
+
+    Each row also gains, once, a zero entry at its smallest absent k.
+    """
     for (i, j), entries in algebra.constants.items():
         for position, (k, d, c) in enumerate(entries):
-            for changed in (c + 1, c - 1) if c > 0 else (c + 1,):
-                row = entries[:position] + ((k, d, changed),) + entries[position + 1:]
-                broken = QHAlgebra(n, algebra.basis, {**algebra.constants, (i, j): row})
-                expected = _failure(_validate_reference, broken)
-                assert _failure(_validate, broken) == expected, (i, j, k, changed)
-                rejected += expected is not None
-    assert rejected > 0
+            for changed in ((k, d, c + 1),), ((k, d, c - 1),), (), ((k, d + 1, c),):
+                yield (i, j), entries[:position] + changed + entries[position + 1:]
+        present = {k for k, _d, _c in entries}
+        absent = next((k for k in range(algebra.dim) if k not in present), None)
+        if absent is not None:
+            yield (i, j), tuple(sorted(entries + ((absent, 0, 0),)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_reload_check_rejects_what_the_reference_rejects(n):
+    # every table that the reload check accepts passes the triple-by-triple
+    # reference; at ranks 2-4 it rejects every single-entry change, including
+    # the degree changes and zero entries, which the reference does not see.
+    # At rank 1, sigma_1^2 = 2 and sigma_1^2 = 0 stay rings
+    algebra = build_qh_algebra(n)
+    accepted = []
+    for key, row in _row_mutations(algebra):
+        broken = QHAlgebra(n, algebra.basis, {**algebra.constants, key: row})
+        if _failure(_check_rows, broken) is None:
+            assert _failure(_validate_reference, broken) is None, (key, row)
+            accepted.append(row)
+    assert accepted == ([((0, 1, 2),), ()] if n == 1 else [])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_built_algebras_pass_both_validators(n):
     algebra = build_qh_algebra(n)
-    _validate(algebra)
+    _check_rows(algebra)
     _validate_reference(algebra)
 
 
-def test_packed_validation_slots_hold_large_constants():
-    # x^2 = C + D x is associative for any C, D; with both near 2^60 a slot
-    # holds up to (C + D) * max(C, D), about 2^121
+def test_reload_check_holds_large_constants():
+    # sigma_1^2 = C at rank 1 is a ring for any C, here above 2^64; a unit row
+    # with a constant of 2 is not
     basis = tuple(strict_partitions(1))
-    big_c, big_d = 2**60 + 3, 2**60 - 5
-    square = ((0, 1, big_c), (1, 1, big_d))
+    square = ((0, 1, 2**64 + 3),)
     algebra = QHAlgebra(1, basis, {(0, 0): ((0, 0, 1),), (0, 1): ((1, 0, 1),), (1, 1): square})
-    _validate(algebra)
+    _check_rows(algebra)
     _validate_reference(algebra)
     broken = QHAlgebra(1, basis, {(0, 0): ((0, 0, 1),), (0, 1): ((1, 0, 2),), (1, 1): square})
     with pytest.raises(InconsistentAlgebraError, match="unit"):
-        _validate(broken)
+        _check_rows(broken)
 
 
 def test_rank_above_limit_refused_before_building(tmp_path, monkeypatch):
@@ -624,8 +661,8 @@ def test_validation_rejects_broken_constants():
     basis = tuple(strict_partitions(1))
     broken = QHAlgebra(1, basis, {(0, 0): ((0, 0, 1),), (0, 1): ((1, 0, 1),),
                                   (1, 1): ((0, 1, -2),)})
-    with pytest.raises(InconsistentAlgebraError):
-        _validate(broken)
+    with pytest.raises(InconsistentAlgebraError, match="is -2, not a positive integer"):
+        _check_rows(broken)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -657,15 +694,19 @@ def test_orbit_size_error_names_the_first_non_integer_constant(monkeypatch, posi
 
 
 def test_validation_rejects_raised_constant(algebras):
-    # raising any one constant of the rank-3 algebra by 1 breaks an axiom
+    # raising any one constant of the rank-3 algebra by 1 breaks an axiom; a
+    # row that holds no column of a generator's operator is named
     a3 = algebras[3]
+    generators = {a3.index((i,)) for i in range(1, 4)}
     for (i, j), entries in a3.constants.items():
         for position, (k, d, c) in enumerate(entries):
             raised = entries[:position] + ((k, d, c + 1),) + entries[position + 1:]
             broken = QHAlgebra(3, a3.basis, {**a3.constants, (i, j): raised})
-            with pytest.raises(InconsistentAlgebraError,
-                               match="unit" if i == 0 else "associativity"):
-                _validate(broken)
+            with pytest.raises(InconsistentAlgebraError) as excinfo:
+                _check_rows(broken)
+            if not generators & {i, j}:
+                assert str(excinfo.value) == (f"row {a3.basis[i].parts} * {a3.basis[j].parts}"
+                                              " is not the one its generators build")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -727,10 +768,11 @@ def test_cache_text_of_synthetic_algebras(constants):
     assert _cache_text(algebra) == json.dumps(_cache_payload(algebra), indent=1)
 
 
-@pytest.mark.parametrize("damage", ["swap", "raise"])
+@pytest.mark.parametrize("damage", ["swap", "raise", "degree"])
 def test_broken_cache_file_is_rebuilt(tmp_path, monkeypatch, caplog, damage):
     # a file that parses but whose constants are wrong: lam and mu swapped in
-    # one row (a key that no product reads), or one constant raised by 1
+    # one row (a key that no product reads), one constant raised by 1, or one
+    # map degree changed from 0 to 1 (still a ring, but not this one)
     fresh = build_qh_algebra(3, cache_dir=tmp_path)
     path = _cache_path(3, tmp_path)
     payload = json.loads(path.read_text())
@@ -738,16 +780,19 @@ def test_broken_cache_file_is_rebuilt(tmp_path, monkeypatch, caplog, damage):
     if damage == "swap":
         row = next(row for row in rows if row[0] != row[1])
         row[0], row[1] = row[1], row[0]
-    else:
+    elif damage == "raise":
         rows[0][4] = str(int(rows[0][4]) + 1)
+    else:
+        row = next(row for row in rows if row[0] and row[3] == 0)
+        row[3] = 1
     path.write_text(json.dumps(payload, indent=1))
     assert (_load_cache(3, path) is None) == (damage == "swap")
     with caplog.at_level(logging.WARNING, logger="lgquot.oracle"):
         assert build_qh_algebra(3, cache_dir=tmp_path) == fresh
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "986d93f521898fa02ffe14346fb26e1f4e4bc27e9f817ea687fa64491b245a84")
-    # only a loaded algebra that fails the ring axioms is reported
-    assert ("rejected and rebuilt" in caplog.text) == (damage == "raise")
+    # only a loaded algebra that fails the reload check is reported
+    assert ("rejected and rebuilt" in caplog.text) == (damage != "swap")
     path.write_text(json.dumps(payload, indent=1))
     monkeypatch.setenv("LGQ_CACHE_DIR", str(tmp_path))
     assert main(["verify", "--suite", "oracle", "--max-n", "3"]) == 0
