@@ -26,6 +26,7 @@ from ._frozen import Frozen
 from ._ring import (
     NonIntegerValueError,
     OrbitSizeError,
+    _PackedRing,
     _ramanujan_sums,
     _ring_power,
     _ring_staircase,
@@ -249,8 +250,9 @@ def required_degree(n: int, g: int, insertions) -> int | None:
 # query sums over 2^n points.  The exact genus-0 query is the slowest, with one
 # field inverse per point: about a minute at n = 15.  The float point tables of
 # gw and intersect double in memory with each rank; a float count builds none.
-# An exact count sums one trace per point orbit instead: (21, 3, 0) takes
-# 8-12 s, (22, 3, 0) about 18 s.
+# An exact count sums one trace per point orbit instead: on a shared 2-vCPU VM
+# one (21, 3, 0) process took 3.6-4.8 s, and (22, 3, 0), summed past the
+# limit in-process, 8.6 s.
 _MAX_RANK = {"exact": 15, "float": 18, "count": 21}
 
 
@@ -376,28 +378,56 @@ def _trace_sum(n: int, g: int, exponent: int, staircases: int) -> int:
     times sqrt(2)^staircases for odd n.  Its degree is a multiple of n + 1, so
     rotation leaves it unchanged and a Galois map conjugates it: the sum is
     sum over orbits |O| * Tr(W at the representative) / phi(m), m = 4(n+1).
-    W is formed in Z[x]/(x^m - 1), where Tr(x^j) is the Ramanujan sum c_m(j);
-    sqrt(2) = x^(m/8) + x^(-m/8) stays inside the trace (README, Conventions).
-    Orbit sizes that do not add up to 2^n raise OrbitSizeError.
+    In Z[x]/(x^m - 1), where Tr(x^j) is the Ramanujan sum c_m(j), the
+    representative's S is x^(d_1*P) * S'(x^2) (`_orbit_staircases`), so
+    S^(g-1) is S'^(g-1), formed in Z[u]/(u^(m/2) - 1), read at the residues
+    (g-1)*d_1*P + 2k; sqrt(2) = x^(m/8) + x^(-m/8) stays inside the trace
+    (README, Conventions).  Orbit sizes that do not add up to 2^n raise
+    OrbitSizeError.
     """
     m = 4 * (n + 1)
     sums = _ramanujan_sums(m)
     twos = exponent + n // 2 * staircases + n % 2 * (staircases // 2)
     root = m // 8 if n % 2 and staircases % 2 else 0  # sqrt(2) = x^root + x^-root
     trace = [sums[(j + root) % m] + sums[(j - root) % m] for j in range(m)] if root else sums
+    # the residues o + 2k, k < m/2, are the residues of o's parity from o on
+    halves = [trace[parity::2] * 2 for parity in (0, 1)]
     orbits = point_orbits(n + 1)
     points = sum(size for _, size in orbits)
     if points != 2**n:  # the integrality check below misses most such errors
         raise OrbitSizeError(f"the point orbits of rank {n} hold {points} points, not 2^{n}")
+    ring, memo = _orbit_staircases(n)
     total = 0
-    for rep, size in orbits:
-        W = _ring_power(m, _ring_staircase(m, [d % m for d in rep.doubled]), g - 1)
+    for (rep, size), (packed, lead) in zip(orbits, memo):
+        W = _ring_power(m // 2, ring.coeffs(packed), g - 1) if g > 1 else [1]  # S^0 = 1
+        start = (g - 1) * lead % m
         sign = rep.staircase_sign if staircases % 2 else 1
-        total += sign * size * sum(map(mul, W, trace))
+        total += sign * size * sum(map(mul, W, halves[start % 2][start // 2:]))
     num, den = total << max(twos, 0), euler_phi(m) << max(-twos, 0)
     if num % den:
         raise NonIntegerValueError(f"value is not an integer: {Fraction(num, den)}")
     return num // den
+
+
+@lru_cache(maxsize=None)
+def _orbit_staircases(n: int) -> tuple[_PackedRing, tuple[tuple[int, int], ...]]:
+    """The genus-free part of each rank-n orbit's staircase product, in `point_orbits` order.
+
+    A point's doubled exponents d_1 < ... < d_N share one parity and span less
+    than 4N, so with P = N(N-1)/2 and e_i = (d_i - d_1)/2 < 2N, the product of
+    x^(d_i) + x^(d_j) in Z[x]/(x^(4N) - 1) is x^(d_1*P) * S'(x^2), S' the
+    product of u^(e_i) + u^(e_j) in Z[u]/(u^(2N) - 1).  Returns that ring, at
+    P + 1 bits a slot, and per orbit S' packed in it, with d_1 * P.
+    """
+    N = n + 1
+    P = N * (N - 1) // 2
+    ring = _PackedRing(2 * N, P + 1)
+    memo = []
+    for rep, _size in point_orbits(N):
+        d_1 = rep.doubled[0]
+        S = _ring_staircase(2 * N, [(d - d_1) // 2 for d in rep.doubled])
+        memo.append((ring.pack(S), d_1 * P))
+    return ring, tuple(memo)
 
 
 def _table_sum(n: int, g: int, backend: str, exponent: int, qtildes,

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import mul
 
 import pytest
 
 from lgquot import invariants
+from lgquot._ring import _ramanujan_sums, _ring_power, _ring_staircase
+from lgquot.cli import main
 from lgquot.cyclotomic import euler_phi
 from lgquot.invariants import (
     NonHomogeneousError,
@@ -29,7 +32,6 @@ from lgquot.partitions import (
     strict_partitions,
     summation_tuples,
 )
-from lgquot.symfunc import _ring_staircase
 
 ONE = SchubertExpression.one()
 
@@ -377,6 +379,95 @@ def test_orbit_trace_sum_matches_point_sum():
                         n, g, "exact", n * (g - 1) - d, qtildes)
                     checks += 1
     assert checks == 807
+
+
+def _full_ring_trace_sum(n, g, exponent, staircases):
+    """The reference for `invariants._trace_sum`: S formed in the full ring
+    Z[x]/(x^(4N) - 1) at every orbit representative, on every call."""
+    m = 4 * (n + 1)
+    sums = _ramanujan_sums(m)
+    twos = exponent + n // 2 * staircases + n % 2 * (staircases // 2)
+    root = m // 8 if n % 2 and staircases % 2 else 0  # sqrt(2) = x^root + x^-root
+    trace = [sums[(j + root) % m] + sums[(j - root) % m] for j in range(m)] if root else sums
+    orbits = point_orbits(n + 1)
+    assert sum(size for _, size in orbits) == 2**n
+    total = 0
+    for rep, size in orbits:
+        W = _ring_power(m, _ring_staircase(m, [d % m for d in rep.doubled]), g - 1)
+        sign = rep.staircase_sign if staircases % 2 else 1
+        total += sign * size * sum(map(mul, W, trace))
+    num, den = total << max(twos, 0), euler_phi(m) << max(-twos, 0)
+    assert num % den == 0
+    return num // den
+
+
+def test_half_ring_counts_match_the_full_ring_sum():
+    checks = 0
+    for n in range(1, 14):
+        for g in range(1, 7):
+            for ell in range(-2, 3):
+                if n * (ell - g + 1) % 2:
+                    continue
+                odd = ell % 2
+                assert maximal_count(n, g, ell) == _full_ring_trace_sum(
+                    n, g, n * (g - 1 - odd) // 2, odd)
+                checks += 1
+    assert checks == 285
+
+
+def test_half_ring_staircase_gw_invariants_match_the_full_ring_sum():
+    # odd n with an odd number of insertions reads the sqrt(2)-shifted trace
+    checks = odd_root = 0
+    for n in range(1, 10):
+        top = staircase(n)
+        for g in range(1, 5):
+            for count in range(5):
+                d = required_degree(n, g, [top] * count)
+                if d is None:
+                    continue
+                assert gw_invariant(n, g, d, [top] * count) == _full_ring_trace_sum(
+                    n, g, n * (g - 1) - d, count)
+                checks += 1
+                odd_root += n % 2 * count % 2
+    assert (checks, odd_root) == (130, 20)
+
+
+def test_half_ring_staircase_is_the_even_slots_of_the_full_product():
+    # S = x^(d_1 P) * S'(x^2): every slot of S off d_1 P's parity is zero
+    for n in range(1, 11):
+        N = n + 1
+        m, P = 4 * N, N * (N - 1) // 2
+        for J in summation_tuples(N):
+            d_1 = J.doubled[0]
+            full = _ring_staircase(m, [d % m for d in J.doubled])
+            half = _ring_staircase(2 * N, [(d - d_1) // 2 for d in J.doubled])
+            shifted = [0] * m
+            for k, c in enumerate(half):
+                shifted[(d_1 * P + 2 * k) % m] = c
+            assert full == shifted
+
+
+def test_orbit_staircases_are_formed_once_per_rank(monkeypatch, capsys):
+    # a table over six genera forms each orbit's S' once, and keeps it packed
+    products = []
+
+    def spy(m, exponents):
+        products.append(exponents)
+        return _ring_staircase(m, exponents)
+
+    monkeypatch.setattr(invariants, "_ring_staircase", spy)
+    invariants._orbit_staircases.cache_clear()
+    try:
+        assert main(["table", "--n", "6", "--genus-range", "1..6", "--ell", "0"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 7
+        orbits = point_orbits(7)
+        assert products == [[(d - rep.doubled[0]) // 2 for d in rep.doubled]
+                            for rep, _ in orbits]
+        _ring, memo = invariants._orbit_staircases(6)
+        assert len(memo) == len(orbits)
+        assert all(type(packed) is int for packed, _ in memo)
+    finally:
+        invariants._orbit_staircases.cache_clear()
 
 
 def test_orbit_staircase_values_match_the_per_point_product(monkeypatch):
