@@ -105,19 +105,19 @@ class _PackedRing:
         return [(p >> (k * self.width)) & slot for k in range(self.m)]
 
 
-def _ring_staircase(m: int, exponents) -> list[int]:
-    """The product of x^a + x^b over pairs a, b of exponents, in Z[x]/(x^m - 1).
+def _ring_staircase(m: int, exponents, shift: int = 0) -> list[int]:
+    """The product of x^a + x^(b + shift) over pairs a before b of exponents, in Z[x]/(x^m - 1).
 
     Expanded, the product has 2^pairs monomials, so no coefficient reaches
-    2^(pairs + 1).  Each factor is x^a * (1 + x^(b-a)): the powers x^a are
-    multiplied in once, at the end.
+    2^(pairs + 1).  Each factor is x^a * (1 + x^(b+shift-a)): the powers x^a
+    are multiplied in once, at the end.
     """
     pairs = len(exponents) * (len(exponents) - 1) // 2
     ring = _PackedRing(m, pairs + 1)
     p, lead = 1, 0
     for i, a in enumerate(exponents):
         for b in exponents[i + 1:]:
-            p += ring.shift(p, (b - a) % m)
+            p += ring.shift(p, (b + shift - a) % m)
         lead += a * (len(exponents) - 1 - i)
     return ring.coeffs(ring.shift(p, lead % m))
 

@@ -33,7 +33,6 @@ from .invariants import (
     SchubertExpression,
     _check_rank_and_genus,
     _count_is_finite,
-    _staircase_sum_builds_tables,
     gw_invariant,
     intersection_number,
     maximal_count,
@@ -431,29 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _builds_point_tables(args) -> bool:
-    """Whether the query sums over point tables: gw, intersect and verify do, and
-    a count or table does only where its exact side sums at genus 0."""
-    if args.subcommand not in ("count", "table"):
-        return True
-    if args.backend == "float":
-        return False
-    try:
-        genera = [args.genus] if args.subcommand == "count" else parse_genus_range(
-            args.genus_range)
-    except CLIParseError:
-        return False  # the query reports PARSE and sums nothing
-    return any(_count_is_finite(args.n, g, args.ell) and _staircase_sum_builds_tables("exact", g)
-               for g in genera)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # what the query runs loads before its clock starts, so that elapsed_ms
-    # does not time the import
-    if _builds_point_tables(args):
+    # does not time the import; a count or table sums no point table
+    if args.subcommand in ("gw", "intersect", "verify"):
         from . import cyclotomic, symfunc  # noqa: F401  (the field loads _float too)
-    elif args.backend != "exact":  # a count or table: the float sum builds no table
+    elif args.backend != "exact":  # the float count is a product over plain points
         from . import _float  # noqa: F401
     return args.handler(args)
 

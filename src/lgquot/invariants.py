@@ -247,12 +247,13 @@ def required_degree(n: int, g: int, insertions) -> int | None:
 
 
 # Largest rank each backend answers, and exact counts (README, Conventions).  A
-# query sums over 2^n points.  The exact genus-0 query is the slowest, with one
-# field inverse per point: about a minute at n = 15.  The float point tables of
-# gw and intersect double in memory with each rank; a float count builds none.
-# An exact count sums one trace per point orbit instead: on a shared 2-vCPU VM
-# one (21, 3, 0) process took 3.6-4.8 s, and (22, 3, 0), summed past the
-# limit in-process, 8.6 s.
+# query sums over 2^n points.  The slowest exact query is a genus-0 sum over
+# the point tables, with one field inverse per point: about a minute at n = 15.
+# The float point tables of gw and intersect double in memory with each rank; a
+# float count builds none.  An exact count sums one trace per point orbit
+# instead, at genus 0 with no inverse: on a shared 2-vCPU VM one (21, 3, 0)
+# process took 3.6-4.8 s, one (21, 0, 1) about 8 s, and (22, 3, 0), summed
+# past the limit in-process, 8.6 s.
 _MAX_RANK = {"exact": 15, "float": 18, "count": 21}
 
 
@@ -270,7 +271,7 @@ def _point_tables(n: int, kind: str):
     """Backend plus one cached PointTable per admissible exponent tuple.
 
     The field and the tables load here, on the first table built: an exact
-    count builds them only at genus 0 (`_staircase_sum_builds_tables`).
+    count builds none, at any genus (`_trace_sum`).
     """
     from .cyclotomic import make_backend
     from .symfunc import PointTable
@@ -341,14 +342,13 @@ def _point_sum(n: int, g: int, backend: str, exponent: int, qtildes,
     values of the partitions in `qtildes`, then the value of P if given.  This
     is the one sum that the three formulas below share.  A sum whose factors
     are all staircase qtilde values (every count, and gw with staircase
-    insertions only) builds no point table: exactly at g >= 1 it is a sum of
-    traces over point orbits (`_trace_sum`), in floats a product over each
+    insertions only) builds no point table, at any genus: exactly it is a sum
+    of traces over point orbits (`_trace_sum`), in floats a product over each
     point's coordinates (`_float_sum`).  Any other sum visits every point's
     table (`_table_sum`).
     """
     # a rank-n strict partition with n parts is the staircase
-    if (P is None and all(len(q) == n for q in qtildes)
-            and not _staircase_sum_builds_tables(backend, g)):
+    if P is None and all(len(q) == n for q in qtildes):
         if backend == "exact":
             _check_rank_limit(n, "count")
             return _trace_sum(n, g, exponent, len(qtildes))
@@ -361,17 +361,8 @@ def _point_sum(n: int, g: int, backend: str, exponent: int, qtildes,
     return _table_sum(n, g, backend, exponent, qtildes, P)
 
 
-def _staircase_sum_builds_tables(backend: str, g: int) -> bool:
-    """Whether a `_point_sum` of staircase qtilde factors only builds point tables.
-
-    Only an exact sum at genus 0 does, since it inverts S at every point.  The
-    CLI reads this rule to load the tables before its clock starts.
-    """
-    return backend == "exact" and g < 1
-
-
 def _trace_sum(n: int, g: int, exponent: int, staircases: int) -> int:
-    """`_point_sum` of S^(g-1) times `staircases` staircase qtilde values, exactly, g >= 1.
+    """`_point_sum` of S^(g-1) times `staircases` staircase qtilde values, exactly.
 
     A staircase qtilde value is eps * 2^(n/2), eps the point's staircase sign,
     so the summand is 2^(n//2 * staircases) * W, W = eps^staircases * S^(g-1)
@@ -379,11 +370,12 @@ def _trace_sum(n: int, g: int, exponent: int, staircases: int) -> int:
     rotation leaves it unchanged and a Galois map conjugates it: the sum is
     sum over orbits |O| * Tr(W at the representative) / phi(m), m = 4(n+1).
     In Z[x]/(x^m - 1), where Tr(x^j) is the Ramanujan sum c_m(j), the
-    representative's S is x^(d_1*P) * S'(x^2) (`_orbit_staircases`), so
-    S^(g-1) is S'^(g-1), formed in Z[u]/(u^(m/2) - 1), read at the residues
-    (g-1)*d_1*P + 2k; sqrt(2) = x^(m/8) + x^(-m/8) stays inside the trace
-    (README, Conventions).  Orbit sizes that do not add up to 2^n raise
-    OrbitSizeError.
+    representative's S^(g-1) is x^o times a polynomial in x^2
+    (`_orbit_weights`), formed in Z[u]/(u^(m/2) - 1) and read at the residues
+    o + 2k; at g = 0, up to the integer (-1)^P * N^N that the integrality
+    division takes too.
+    sqrt(2) = x^(m/8) + x^(-m/8) stays inside the trace (README,
+    Conventions).  Orbit sizes that do not add up to 2^n raise OrbitSizeError.
     """
     m = 4 * (n + 1)
     sums = _ramanujan_sums(m)
@@ -396,17 +388,36 @@ def _trace_sum(n: int, g: int, exponent: int, staircases: int) -> int:
     points = sum(size for _, size in orbits)
     if points != 2**n:  # the integrality check below misses most such errors
         raise OrbitSizeError(f"the point orbits of rank {n} hold {points} points, not 2^{n}")
-    ring, memo = _orbit_staircases(n)
+    weights = _orbit_weights(n, g, orbits) if g != 1 else [([1], 0)] * len(orbits)  # S^0 = 1
     total = 0
-    for (rep, size), (packed, lead) in zip(orbits, memo):
-        W = _ring_power(m // 2, ring.coeffs(packed), g - 1) if g > 1 else [1]  # S^0 = 1
-        start = (g - 1) * lead % m
+    for (rep, size), (W, start) in zip(orbits, weights):
         sign = rep.staircase_sign if staircases % 2 else 1
         total += sign * size * sum(map(mul, W, halves[start % 2][start // 2:]))
     num, den = total << max(twos, 0), euler_phi(m) << max(-twos, 0)
+    if g == 0:  # x^o * W(x^2) is (-1)^P * N^N * S^-1
+        num, den = (-1) ** (n * (n + 1) // 2) * num, den * (n + 1) ** (n + 1)
     if num % den:
         raise NonIntegerValueError(f"value is not an integer: {Fraction(num, den)}")
     return num // den
+
+
+def _orbit_weights(n: int, g: int, orbits):
+    """Per orbit, W and o with x^o * W(x^2) = S^(g-1) at the representative, g != 1.
+
+    At g > 1, W = S'^(g-1) and o = (g-1) * d_1 * P (`_orbit_staircases`).  At
+    g = 0, W = S' * V'^2 and o = 3 * d_1 * P give (-1)^P * N^N * S^-1, V' the
+    product of u^(e_i) + u^(e_j + N) in Z[u]/(u^(2N) - 1) (README, Conventions).
+    """
+    N, m = n + 1, 4 * (n + 1)
+    ring, memo = _orbit_staircases(n)
+    wide = _PackedRing(2 * N, 3 * (ring.width - 1) + 1)  # S' * V'^2 has 2^(3P) monomials
+    for (rep, _size), (S, lead) in zip(orbits, memo):
+        if g > 1:
+            yield _ring_power(2 * N, ring.coeffs(S), g - 1), (g - 1) * lead % m
+        else:
+            d_1 = rep.doubled[0]
+            V = wide.pack(_ring_staircase(2 * N, [(d - d_1) // 2 for d in rep.doubled], N))
+            yield wide.coeffs(wide.mul(wide.pack(ring.coeffs(S)), wide.mul(V, V))), 3 * lead % m
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import mul
 
@@ -8,7 +9,7 @@ import pytest
 from lgquot import invariants
 from lgquot._ring import _ramanujan_sums, _ring_power, _ring_staircase
 from lgquot.cli import main
-from lgquot.cyclotomic import euler_phi
+from lgquot.cyclotomic import CyclotomicNumber, euler_phi
 from lgquot.invariants import (
     NonHomogeneousError,
     ParityError,
@@ -186,11 +187,11 @@ def test_ranks_above_backend_limit_refused_before_points():
 
 
 def test_maximal_count_agrees_with_intersection_number():
-    # the count sums traces over point orbits for g >= 1; the intersection
+    # the count sums traces over point orbits at every genus; the intersection
     # number with P = 1 visits every point's table (`_table_sum`)
     checks = 0
     for n in range(1, 10):
-        for g in range(n == 9, 7):  # genus 0 inverts S at every point, slow at rank 9
+        for g in range(n == 9, 7):  # the table sum inverts S at every point at genus 0
             for ell in range(-3, 4):
                 if n * (ell - g + 1) % 2:
                     continue
@@ -201,7 +202,8 @@ def test_maximal_count_agrees_with_intersection_number():
 
 
 def test_staircase_gw_invariants_match_the_table_sum():
-    # gw with staircase insertions only takes the group-ring route at g >= 1
+    # gw with staircase insertions only takes the group-ring route (genus 0
+    # is pinned in test_genus_zero_staircase_sums_match_the_table_sum)
     checks = 0
     for n in range(1, 7):
         top = staircase(n)
@@ -220,15 +222,74 @@ def test_exact_counts_build_no_point_tables():
     _point_tables.cache_clear()
     points = summation_tuples.cache_info()
     try:
-        for n, g, ell in [(4, 3, 0), (5, 2, 1), (6, 1, -1), (7, 5, 2), (16, 2, 0)]:
+        for n, g, ell in [(4, 3, 0), (5, 2, 1), (6, 1, -1), (7, 5, 2), (16, 2, 0),
+                          (4, 0, 1), (5, 0, -1), (16, 0, 0)]:
             maximal_count(n, g, ell)
         gw_invariant(3, 2, 3, [staircase(3)])
+        gw_invariant(3, 0, 2, [staircase(3)] * 3)
         assert _point_tables.cache_info() == (0, 0, None, 0)
         assert summation_tuples.cache_info() == points
-        maximal_count(4, 0, 1)  # genus 0 inverts S at every point's table
-        assert _point_tables.cache_info().currsize == 1
     finally:
         _point_tables.cache_clear()
+
+
+def test_genus_one_counts_form_no_staircase_product():
+    # S^0 = 1: a genus-1 count sums the bare traces over the orbits
+    invariants._orbit_staircases.cache_clear()
+    try:
+        assert maximal_count(9, 1, 0) == 2**9
+        assert maximal_count(6, 1, -1) == 2**3
+        assert invariants._orbit_staircases.cache_info().currsize == 0
+        maximal_count(6, 2, 0)
+        assert invariants._orbit_staircases.cache_info().currsize == 1
+    finally:
+        invariants._orbit_staircases.cache_clear()
+
+
+def test_genus_zero_weight_is_the_staircase_inverse_times_an_integer():
+    # S * x^o * W(x^2) = (-1)^P * N^N in the field at every orbit representative
+    for n in range(1, 8):
+        N = n + 1
+        m, P = 4 * N, N * (N - 1) // 2
+        orbits = point_orbits(N)
+        for (rep, _), (W, o) in zip(orbits, invariants._orbit_weights(n, 0, orbits)):
+            S = _ring_staircase(m, [d % m for d in rep.doubled])
+            product = [0] * m
+            for j, s in enumerate(S):
+                for k, w in enumerate(W):
+                    product[(j + o + 2 * k) % m] += s * w
+            assert CyclotomicNumber(m, product) == (-1) ** P * N**N
+
+
+def test_genus_zero_staircase_sums_match_the_table_sum():
+    # the trace route takes no inverse; the reference inverts S at every point.
+    # A count depends on ell through its parity only, so each reference sum is
+    # formed once
+    @lru_cache(maxsize=None)
+    def table_sum(n, exponent, count):
+        return invariants._table_sum(n, 0, "exact", exponent, [staircase(n).parts] * count)
+
+    counts = gws = odd_root = 0
+    try:
+        for n in range(1, 11):
+            for ell in range(-3, 4):
+                if n * (ell + 1) % 2:
+                    continue
+                odd = ell % 2
+                assert maximal_count(n, 0, ell) == table_sum(n, n * (-1 - odd) // 2, odd)
+                counts += 1
+            top = staircase(n)
+            for count in range(5 if n <= 8 else 0):
+                d = required_degree(n, 0, [top] * count)
+                if d is None:
+                    continue
+                assert gw_invariant(n, 0, d, [top] * count) == table_sum(n, -n - d, count)
+                gws += 1
+                odd_root += n % 2 * count % 2
+            _point_tables.cache_clear()
+    finally:
+        _point_tables.cache_clear()
+    assert (counts, gws, odd_root) == (55, 24, 8)
 
 
 def test_elementary_values_built_on_first_use(monkeypatch):

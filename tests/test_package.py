@@ -69,10 +69,12 @@ COUNT = ["count", "--n", "8", "--genus", "3", "--ell", "0"]
 COUNT_BOTH = ["count", "--n", "2", "--genus", "2", "--ell", "0", "--backend", "both"]
 COUNT_FLOAT = ["count", "--n", "4", "--genus", "2", "--ell", "0", "--backend", "float"]
 COUNT_FLOAT_0 = ["count", "--n", "3", "--genus", "0", "--ell", "1", "--backend", "float"]
+COUNT_0 = ["count", "--n", "3", "--genus", "0", "--ell", "1"]
 GW = ["gw", "--n", "2", "--genus", "0", "--degree", "0", "--partitions", "1;1;1"]
 INTERSECT = ["intersect", "--n", "2", "--genus", "2", "--ell", "0", "--e", "-2", "--poly", "a1^3"]
 TABLE = ["table", "--n", "2", "--genus-range", "2..4", "--ell", "0"]
 TABLE_FLOAT = TABLE + ["--backend", "float"]
+TABLE_0 = ["table", "--n", "2", "--genus-range", "0..2", "--ell", "0"]
 VERIFY = ["verify", "--suite", "oracle", "--max-n", "1"]
 
 
@@ -108,14 +110,17 @@ def test_oracle_build_loads_neither_the_field_nor_the_tables(tmp_path):
 
 @pytest.mark.parametrize("argv, loaded", [
     (COUNT, []),
+    (COUNT_0, []),
     (COUNT_BOTH, FLOAT),
     (COUNT_FLOAT, FLOAT),
     (GW, TABLES),
     (INTERSECT, TABLES),
     (TABLE, []),
+    (TABLE_0, []),
     (TABLE_FLOAT, FLOAT),
     (VERIFY, TABLES + ["lgquot.oracle", "lgquot.verify"]),
-], ids=["count", "count-both", "count-float", "gw", "intersect", "table", "table-float", "verify"])
+], ids=["count", "count-genus-0", "count-both", "count-float", "gw", "intersect", "table",
+        "table-genus-0", "table-float", "verify"])
 def test_cli_process_imports_only_what_it_runs(argv, loaded, tmp_path):
     script = (
         f"import json, sys; sys.path.insert(0, {SRC!r}); "
@@ -126,9 +131,9 @@ def test_cli_process_imports_only_what_it_runs(argv, loaded, tmp_path):
 
 
 # Each command loads what its query runs before the clock starts, so that
-# elapsed_ms times the query alone.  An exact count or table at genus 0 sums
-# over point tables, so it loads the field and the tables before its clock; a
-# float count at genus 0 builds no table.
+# elapsed_ms times the query alone.  gw, intersect and verify load the field
+# and the point tables before their clock; a count or table, at any genus and
+# on either backend, builds no table.
 _TIMED = """
 import json, sys
 sys.path.insert(0, {src!r})
@@ -152,10 +157,6 @@ cli._run_query = timed
 code = cli.main({argv!r})
 print(json.dumps([code, seen]))
 """
-
-
-COUNT_0 = ["count", "--n", "3", "--genus", "0", "--ell", "1"]
-TABLE_0 = ["table", "--n", "2", "--genus-range", "0..2", "--ell", "0"]
 
 
 @pytest.mark.parametrize("argv", [COUNT, COUNT_FLOAT, COUNT_FLOAT_0, COUNT_0,
