@@ -252,7 +252,7 @@ def required_degree(n: int, g: int, insertions) -> int | None:
 # The float point tables of gw and intersect double in memory with each rank; a
 # float count builds none.  An exact count sums one trace per point orbit
 # instead, at genus 0 with no inverse: on a shared 2-vCPU VM one (21, 3, 0)
-# process took 3.6-4.8 s, one (21, 0, 1) about 8 s, and (22, 3, 0), summed
+# process took 3.6-4.8 s, one (21, 0, 1) 2.8-5.5 s, and (22, 3, 0), summed
 # past the limit in-process, 8.6 s.
 _MAX_RANK = {"exact": 15, "float": 18, "count": 21}
 
@@ -305,21 +305,21 @@ def _point_tables(n: int, kind: str):
 
 
 def _orbit_staircase_values(backend, n: int, scale: int) -> list:
-    """The staircase Schur value at every rank-n point, one group-ring product per orbit.
+    """The staircase Schur value at every rank-n point, from each orbit's S' (`_orbit_staircases`).
 
-    S is the product of x^(k_i) + x^(k_j) over the P pairs of a point's
-    exponents k_i = scale * d_i, in Z[x]/(x^m - 1).  The point a*J + 4s has
-    exponents a*k_i + 4s*scale, so S(a*J + 4s) = x^(4s*scale*P) * sigma_a(S(J)),
-    with sigma_a: x^j -> x^(a*j): a permutation of the coefficients, each image
-    reduced once (README, Conventions).
+    With m = 4(n+1) * scale, S is x^(scale*d_1*P) * S'(x^(2*scale)) at a
+    point's exponents k_i = scale * d_i, in Z[x]/(x^m - 1).  The point
+    a*J + 4s has exponents a*k_i + 4s*scale, so S(a*J + 4s) =
+    x^(4s*scale*P) * sigma_a(S(J)), with sigma_a: x^j -> x^(a*j): a
+    permutation of the coefficients, each image reduced once (README,
+    Conventions).
     """
     m = backend.order
-    points = summation_tuples(n + 1)
     step = 4 * scale * (n * (n + 1) // 2)
     values = [None] * 2**n
-    for rep, members in point_orbit_members(n + 1):
-        S = _ring_staircase(m, [d * scale % m for d in points[rep].doubled])
-        coeffs = [(j, c) for j, c in enumerate(S) if c]
+    ring, memo = _orbit_staircases(n, 0)
+    for (_rep, members), (S, lead) in zip(point_orbit_members(n + 1), memo):
+        coeffs = [(scale * (lead + 2 * k) % m, c) for k, c in enumerate(ring.coeffs(S)) if c]
         for i, a, s in members:
             image = [0] * m
             for j, c in coeffs:
@@ -370,74 +370,71 @@ def _trace_sum(n: int, g: int, exponent: int, staircases: int) -> int:
     rotation leaves it unchanged and a Galois map conjugates it: the sum is
     sum over orbits |O| * Tr(W at the representative) / phi(m), m = 4(n+1).
     In Z[x]/(x^m - 1), where Tr(x^j) is the Ramanujan sum c_m(j), the
-    representative's S^(g-1) is x^o times a polynomial in x^2
-    (`_orbit_weights`), formed in Z[u]/(u^(m/2) - 1) and read at the residues
-    o + 2k; at g = 0, up to the integer (-1)^P * N^N that the integrality
-    division takes too.
+    representative's S^(g-1) is x^o times a polynomial in x^2, formed in
+    Z[u]/(u^(m/2) - 1) from `_orbit_staircases` and read at the residues
+    o + 2k.  At g = 0, (-1)^P * N^N * S^-1 = c * V, V the representative's
+    Vandermonde product in pair order and c one element for every point: the
+    trace vector is twisted by c once, each V is read against it, and the
+    integrality division takes (-1)^P * N^N too (README, Conventions).
     sqrt(2) = x^(m/8) + x^(-m/8) stays inside the trace (README,
     Conventions).  Orbit sizes that do not add up to 2^n raise OrbitSizeError.
     """
-    m = 4 * (n + 1)
+    N, m = n + 1, 4 * (n + 1)
     sums = _ramanujan_sums(m)
     twos = exponent + n // 2 * staircases + n % 2 * (staircases // 2)
     root = m // 8 if n % 2 and staircases % 2 else 0  # sqrt(2) = x^root + x^-root
     trace = [sums[(j + root) % m] + sums[(j - root) % m] for j in range(m)] if root else sums
+    if g == 0:  # Tr(c * x^j) for every j; pair a's squared coordinate is x^(2 lo + 4a), lo = 1 - N
+        c = _ring_staircase(m, [(2 - 2 * N + 4 * a) % m for a in range(N)], 2 * N)
+        trace = [sum(c_i * trace[(i + j) % m] for i, c_i in enumerate(c) if c_i) for j in range(m)]
     # the residues o + 2k, k < m/2, are the residues of o's parity from o on
     halves = [trace[parity::2] * 2 for parity in (0, 1)]
-    orbits = point_orbits(n + 1)
+    orbits = point_orbits(N)
     points = sum(size for _, size in orbits)
     if points != 2**n:  # the integrality check below misses most such errors
         raise OrbitSizeError(f"the point orbits of rank {n} hold {points} points, not 2^{n}")
-    weights = _orbit_weights(n, g, orbits) if g != 1 else [([1], 0)] * len(orbits)  # S^0 = 1
+    if g == 1:  # S^0 = 1
+        weights = [([1], 0)] * len(orbits)
+    else:
+        ring, memo = _orbit_staircases(n, 0 if g else N)
+        weights = ((ring.coeffs(W), lead % m) if g == 0 else
+                   (_ring_power(2 * N, ring.coeffs(W), g - 1), (g - 1) * lead % m)
+                   for W, lead in memo)
     total = 0
     for (rep, size), (W, start) in zip(orbits, weights):
         sign = rep.staircase_sign if staircases % 2 else 1
         total += sign * size * sum(map(mul, W, halves[start % 2][start // 2:]))
     num, den = total << max(twos, 0), euler_phi(m) << max(-twos, 0)
-    if g == 0:  # x^o * W(x^2) is (-1)^P * N^N * S^-1
-        num, den = (-1) ** (n * (n + 1) // 2) * num, den * (n + 1) ** (n + 1)
+    if g == 0:
+        num, den = (-1) ** (N * n // 2) * num, den * N**N
     if num % den:
         raise NonIntegerValueError(f"value is not an integer: {Fraction(num, den)}")
     return num // den
 
 
-def _orbit_weights(n: int, g: int, orbits):
-    """Per orbit, W and o with x^o * W(x^2) = S^(g-1) at the representative, g != 1.
-
-    At g > 1, W = S'^(g-1) and o = (g-1) * d_1 * P (`_orbit_staircases`).  At
-    g = 0, W = S' * V'^2 and o = 3 * d_1 * P give (-1)^P * N^N * S^-1, V' the
-    product of u^(e_i) + u^(e_j + N) in Z[u]/(u^(2N) - 1) (README, Conventions).
-    """
-    N, m = n + 1, 4 * (n + 1)
-    ring, memo = _orbit_staircases(n)
-    wide = _PackedRing(2 * N, 3 * (ring.width - 1) + 1)  # S' * V'^2 has 2^(3P) monomials
-    for (rep, _size), (S, lead) in zip(orbits, memo):
-        if g > 1:
-            yield _ring_power(2 * N, ring.coeffs(S), g - 1), (g - 1) * lead % m
-        else:
-            d_1 = rep.doubled[0]
-            V = wide.pack(_ring_staircase(2 * N, [(d - d_1) // 2 for d in rep.doubled], N))
-            yield wide.coeffs(wide.mul(wide.pack(ring.coeffs(S)), wide.mul(V, V))), 3 * lead % m
-
-
 @lru_cache(maxsize=None)
-def _orbit_staircases(n: int) -> tuple[_PackedRing, tuple[tuple[int, int], ...]]:
+def _orbit_staircases(n: int, shift: int) -> tuple[_PackedRing, tuple[tuple[int, int], ...]]:
     """The genus-free part of each rank-n orbit's staircase product, in `point_orbits` order.
 
-    A point's doubled exponents d_1 < ... < d_N share one parity and span less
-    than 4N, so with P = N(N-1)/2 and e_i = (d_i - d_1)/2 < 2N, the product of
-    x^(d_i) + x^(d_j) in Z[x]/(x^(4N) - 1) is x^(d_1*P) * S'(x^2), S' the
-    product of u^(e_i) + u^(e_j) in Z[u]/(u^(2N) - 1).  Returns that ring, at
-    P + 1 bits a slot, and per orbit S' packed in it, with d_1 * P.
+    A point's doubled exponents d_1, ..., d_N share one parity and span less
+    than 4N, so with P = N(N-1)/2 and e_i = (d_i - d_1)/2, the product of
+    x^(d_i) + x^(d_j + 2*shift) over i < j in Z[x]/(x^(4N) - 1) is
+    x^(d_1*P) * S'(u = x^2), S' the product of u^(e_i) + u^(e_j + shift) in
+    Z[u]/(u^(2N) - 1).  Shift 0 takes the d ascending and gives the staircase
+    product S.  Shift N takes them in pair order, d_i from the pair
+    (lo + 2i, lo + 2i + 2N), and gives V, the product of x_i - x_j, since
+    x^(2N) = -1 in the field.  Returns the ring, at P + 1 bits a slot, and
+    per orbit S' packed in it, with d_1 * P.
     """
     N = n + 1
     P = N * (N - 1) // 2
     ring = _PackedRing(2 * N, P + 1)
     memo = []
     for rep, _size in point_orbits(N):
-        d_1 = rep.doubled[0]
-        S = _ring_staircase(2 * N, [(d - d_1) // 2 for d in rep.doubled])
-        memo.append((ring.pack(S), d_1 * P))
+        # the window's low end is lo = 1 - N, so d is in pair (d - lo)/2 mod N
+        d = sorted(rep.doubled, key=lambda x: (x + N - 1) // 2 % N) if shift else rep.doubled
+        memo.append((ring.pack(_ring_staircase(2 * N, [(e - d[0]) // 2 for e in d], shift)),
+                     d[0] * P))
     return ring, tuple(memo)
 
 

@@ -1,15 +1,16 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
+from math import prod
 from operator import mul
 
 import pytest
 
 from lgquot import invariants
-from lgquot._ring import _ramanujan_sums, _ring_power, _ring_staircase
+from lgquot._ring import _PackedRing, _ramanujan_sums, _ring_power, _ring_staircase
 from lgquot.cli import main
-from lgquot.cyclotomic import CyclotomicNumber, euler_phi
+from lgquot.cyclotomic import CyclotomicNumber, euler_phi, root_of_unity
 from lgquot.invariants import (
     NonHomogeneousError,
     ParityError,
@@ -246,19 +247,46 @@ def test_genus_one_counts_form_no_staircase_product():
         invariants._orbit_staircases.cache_clear()
 
 
+def _pair_constant(N):
+    """c, the product of y_a - y_b over pairs a < b of the window's opposite
+    pairs, y_a = zeta^(2 lo + 4a) the square of either pick, lo = 1 - N."""
+    m = 4 * N
+    return CyclotomicNumber(m, _ring_staircase(m, [(2 - 2 * N + 4 * a) % m for a in range(N)],
+                                               2 * N))
+
+
+def test_pair_order_vandermonde_times_the_staircase_is_one_element():
+    # the square y_a of pair a's pick does not depend on the pick, and S is
+    # symmetric, so S * V = c at every point, V the product of x_a - x_b over
+    # a < b in pair order; and c^2 = (-1)^P * N^N
+    for n in range(1, 9):
+        N = n + 1
+        m, P = 4 * N, N * (N - 1) // 2
+        c = _pair_constant(N)
+        assert c * c == (-1) ** P * N**N
+        lows = range(1 - N, 1 + N, 2)
+        for J in summation_tuples(N):
+            picks = [lo if lo in J.doubled else lo + 2 * N for lo in lows]
+            S = CyclotomicNumber(m, _ring_staircase(m, [d % m for d in J.doubled]))
+            x = [root_of_unity(m, d % m) for d in picks]
+            V = prod((x[a] - x[b] for a, b in combinations(range(N), 2)), start=1)
+            assert S * V == c
+
+
 def test_genus_zero_weight_is_the_staircase_inverse_times_an_integer():
-    # S * x^o * W(x^2) = (-1)^P * N^N in the field at every orbit representative
+    # S * c * x^o * V'(x^2) = (-1)^P * N^N in the field at every orbit
+    # representative, V' and o from the memo at shift N
     for n in range(1, 8):
         N = n + 1
         m, P = 4 * N, N * (N - 1) // 2
-        orbits = point_orbits(N)
-        for (rep, _), (W, o) in zip(orbits, invariants._orbit_weights(n, 0, orbits)):
-            S = _ring_staircase(m, [d % m for d in rep.doubled])
-            product = [0] * m
-            for j, s in enumerate(S):
-                for k, w in enumerate(W):
-                    product[(j + o + 2 * k) % m] += s * w
-            assert CyclotomicNumber(m, product) == (-1) ** P * N**N
+        c = _pair_constant(N)
+        ring, memo = invariants._orbit_staircases(n, N)
+        for (rep, _), (W, o) in zip(point_orbits(N), memo):
+            S = CyclotomicNumber(m, _ring_staircase(m, [d % m for d in rep.doubled]))
+            V = [0] * m
+            for k, w in enumerate(ring.coeffs(W)):
+                V[(o + 2 * k) % m] = w
+            assert S * c * CyclotomicNumber(m, V) == (-1) ** P * N**N
 
 
 def test_genus_zero_staircase_sums_match_the_table_sum():
@@ -509,46 +537,78 @@ def test_half_ring_staircase_is_the_even_slots_of_the_full_product():
 
 
 def test_orbit_staircases_are_formed_once_per_rank(monkeypatch, capsys):
-    # a table over six genera forms each orbit's S' once, and keeps it packed
+    # a table over five genera forms each orbit's S' (shift 0, ascending) and
+    # V' (shift N, pair order) once, and keeps them packed; genus 0 also forms
+    # the fixed element c, once
     products = []
 
-    def spy(m, exponents):
-        products.append(exponents)
-        return _ring_staircase(m, exponents)
+    def spy(m, exponents, shift=0):
+        products.append((m, exponents, shift))
+        return _ring_staircase(m, exponents, shift)
 
     monkeypatch.setattr(invariants, "_ring_staircase", spy)
     invariants._orbit_staircases.cache_clear()
     try:
-        assert main(["table", "--n", "6", "--genus-range", "1..6", "--ell", "0"]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 7
-        orbits = point_orbits(7)
-        assert products == [[(d - rep.doubled[0]) // 2 for d in rep.doubled]
-                            for rep, _ in orbits]
-        _ring, memo = invariants._orbit_staircases(6)
-        assert len(memo) == len(orbits)
-        assert all(type(packed) is int for packed, _ in memo)
+        assert main(["table", "--n", "6", "--genus-range", "0..4", "--ell", "0"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 6
+        N, orbits = 7, point_orbits(7)
+        pair = [sorted(rep.doubled, key=lambda d: (d + N - 1) // 2 % N) for rep, _ in orbits]
+        assert products == (
+            [(4 * N, [(2 - 2 * N + 4 * a) % (4 * N) for a in range(N)], 2 * N)]
+            + [(2 * N, [(d - p[0]) // 2 for d in p], N) for p in pair]
+            + [(2 * N, [(d - rep.doubled[0]) // 2 for d in rep.doubled], 0) for rep, _ in orbits])
+        for shift in (0, N):
+            _ring, memo = invariants._orbit_staircases(6, shift)
+            assert len(memo) == len(orbits)
+            assert all(type(packed) is int for packed, _ in memo)
+    finally:
+        invariants._orbit_staircases.cache_clear()
+
+
+def test_genus_zero_traces_form_no_packed_product(monkeypatch):
+    # genus 0 reads each V' against the twisted trace vector: no product at
+    # all, where genus 3 squares each S' in the half ring
+    products = []
+    ring_mul = _PackedRing.mul
+
+    def spy(ring, p, q):
+        products.append(ring.m)
+        return ring_mul(ring, p, q)
+
+    monkeypatch.setattr(_PackedRing, "mul", spy)
+    invariants._orbit_staircases.cache_clear()
+    try:
+        assert maximal_count(9, 0, 1) == 1
+        assert maximal_count(8, 0, 0) == 0
+        assert required_degree(5, 0, [staircase(5)] * 3) == 5
+        gw_invariant(5, 0, 5, [staircase(5)] * 3)
+        assert products == []
+        maximal_count(8, 3, 0)
+        assert set(products) == {18}
     finally:
         invariants._orbit_staircases.cache_clear()
 
 
 def test_orbit_staircase_values_match_the_per_point_product(monkeypatch):
-    # the exact tables form one group-ring product per point orbit and are
-    # given every point's value when built; each equals the product formed at
-    # that point's own exponents, for both orders 4(n+1) (odd n) and 8(n+1)
+    # the exact tables read each orbit's S' from the memo that the counts
+    # fill, and form no product of their own; each point's value equals the
+    # product formed at its own exponents, for both orders 4(n+1) (odd n) and
+    # 8(n+1)
     products = []
 
-    def spy(m, exponents):
+    def spy(m, exponents, shift=0):
         products.append(exponents)
-        return _ring_staircase(m, exponents)
+        return _ring_staircase(m, exponents, shift)
 
-    monkeypatch.setattr(invariants, "_ring_staircase", spy)
     orders = set()
     _point_tables.cache_clear()
     try:
         for n in range(1, 11):
-            products.clear()
+            invariants._orbit_staircases(n, 0)
+        monkeypatch.setattr(invariants, "_ring_staircase", spy)
+        for n in range(1, 11):
             backend, tables = _point_tables(n, "exact")
-            assert len(products) == len(point_orbits(n + 1))
+            assert products == []
             orders.add(backend.order // (n + 1))
             top = staircase(n).parts
             for table in tables:
