@@ -97,12 +97,48 @@ class _PackedRing:
         r = p * q
         return (r & self.mask) + (r >> self.bits)
 
+    def power(self, p: int, k: int) -> int:
+        """p^k, when no coefficient of it or of a lower power reaches 2^width.
+
+        The result starts as p^(2^j), 2^j the lowest set bit of k: the k-th
+        power takes bit_length(k) - 1 squarings and one product for each
+        further set bit, so a square is one product, k = 1 none, and k = 0
+        gives the unit 1.
+        """
+        if not k:
+            return 1
+        result = None
+        while True:
+            if k & 1:
+                result = p if result is None else self.mul(result, p)
+            k >>= 1
+            if not k:
+                return result
+            p = self.mul(p, p)
+
     def pack(self, coeffs) -> int:
         return sum(c << (k * self.width) for k, c in enumerate(coeffs) if c)
 
     def coeffs(self, p: int) -> list[int]:
         slot = (1 << self.width) - 1
-        return [(p >> (k * self.width)) & slot for k in range(self.m)]
+        return [(p >> s) & slot for s in range(0, self.bits, self.width)]
+
+    def repack(self, p: int, ring: _PackedRing) -> int:
+        """p packed in `ring`, of the same order m and slots at least as wide.
+
+        Both slot widths are whole bytes (`_byte_width`), so one strided
+        slice moves byte j of every slot at once.
+        """
+        a, b = self.width // 8, ring.width // 8
+        source, out = p.to_bytes(self.bits // 8, "little"), bytearray(ring.bits // 8)
+        for j in range(a):
+            out[j::b] = source[j::a]
+        return int.from_bytes(out, "little")
+
+
+def _byte_width(bits: int) -> int:
+    """bits rounded up to whole bytes: a slot width that `_PackedRing.repack` reads."""
+    return -(-bits // 8) * 8
 
 
 def _ring_staircase(m: int, exponents, shift: int = 0) -> list[int]:
@@ -128,14 +164,9 @@ def _ring_power(m: int, coeffs, k: int) -> list[int]:
     With 2^b the least power of two at or above the sum of the coefficients,
     the expanded power has at most 2^(k*b) monomials, so no coefficient of it
     or of a lower power reaches 2^(k*b + 1).  The staircase product has
-    2^pairs monomials, so its k-th power needs k*pairs + 1 bits a slot.
+    2^pairs monomials, so its k-th power needs k*pairs + 1 bits a slot.  The
+    power itself is `_PackedRing.power`, from the base up: k = 0 gives the
+    unit, k = 1 forms no product.
     """
     ring = _PackedRing(m, k * (sum(coeffs) - 1).bit_length() + 1)
-    base, result = ring.pack(coeffs), 1
-    while k:
-        if k & 1:
-            result = ring.mul(result, base)
-        k >>= 1
-        if k:
-            base = ring.mul(base, base)
-    return ring.coeffs(result)
+    return ring.coeffs(ring.power(ring.pack(coeffs), k))

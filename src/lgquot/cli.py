@@ -9,13 +9,15 @@ Subcommands:
 
 Exit codes: 0 success, 2 usage or parse error (including PARITY and
 non-homogeneous input), 3 violated math assumption (NONINTEGER, NONVANISHING,
-SINGULAR_EULER, ORBIT_SIZE, BACKEND_MISMATCH), 4 verification failure.
+SINGULAR_EULER, ORBIT_SIZE, BACKEND_MISMATCH), 4 verification failure.  A
+reader that closes stdout early leaves the code as it is, with no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -276,12 +278,20 @@ def _run_query(params: dict, backend: str, fmt: str, compute,
         else:
             raise
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    if fmt == "json":
-        print(json.dumps({**params, **fields, "backend": backend, "elapsed_ms": elapsed_ms}))
-    elif status:
-        print(f"error {fields['error']}: {fields['message']}")
-    else:
-        print("\n".join(text_lines(fields)))
+    try:
+        if fmt == "json":
+            print(json.dumps({**params, **fields, "backend": backend, "elapsed_ms": elapsed_ms}))
+        elif status:
+            print(f"error {fields['error']}: {fields['message']}")
+        else:
+            print("\n".join(text_lines(fields)))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`| head -n 1`): the rest of the output is
+        # dropped, and stdout points at devnull so the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 4 if fields.get("passed") is False else status
 
 

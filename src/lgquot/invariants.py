@@ -20,17 +20,17 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from operator import mul
 
 from ._frozen import Frozen
 from ._ring import (
     NonIntegerValueError,
     OrbitSizeError,
+    _byte_width,
     _PackedRing,
     _ramanujan_sums,
-    _ring_power,
     _ring_staircase,
-    euler_phi,
 )
 from .partitions import (
     IndexTuple,
@@ -247,13 +247,16 @@ def required_degree(n: int, g: int, insertions) -> int | None:
 
 
 # Largest rank each backend answers, and exact counts (README, Conventions).  A
-# query sums over 2^n points.  The slowest exact query is a genus-0 sum over
-# the point tables, with one field inverse per point: about a minute at n = 15.
-# The float point tables of gw and intersect double in memory with each rank; a
-# float count builds none.  An exact count sums one trace per point orbit
-# instead, at genus 0 with no inverse: on a shared 2-vCPU VM one (21, 3, 0)
-# process took 3.6-4.8 s, one (21, 0, 1) 2.8-5.5 s, and (22, 3, 0), summed
-# past the limit in-process, 8.6 s.
+# query sums over 2^n points, and the limit reads the rank only: neither the
+# genus nor the insertions.  So the slowest admitted exact queries take
+# minutes: on a shared 2-vCPU VM the rank-15 genus-0 gw with the 4-part
+# classes (14,13,12,6);(15,14,10);(15,12,7,2) took 351.8 s over the point
+# tables, and the count (18, 101, 0), whose power S'^100 has 100P + 1 bits a
+# slot, 178.6 s.  The float point tables of gw and intersect double in memory
+# with each rank; a float count builds none.  An exact count sums one trace
+# per point orbit instead, at genus 0 with no inverse: on a shared 2-vCPU VM
+# the median (21, 3, 0) process took 3.3-3.9 s and (21, 0, 1) 2.6-2.9 s in
+# three sessions, and (22, 3, 0), summed past the limit in-process, 8.6 s.
 _MAX_RANK = {"exact": 15, "float": 18, "count": 21}
 
 
@@ -372,44 +375,72 @@ def _trace_sum(n: int, g: int, exponent: int, staircases: int) -> int:
     In Z[x]/(x^m - 1), where Tr(x^j) is the Ramanujan sum c_m(j), the
     representative's S^(g-1) is x^o times a polynomial in x^2, formed in
     Z[u]/(u^(m/2) - 1) from `_orbit_staircases` and read at the residues
-    o + 2k.  At g = 0, (-1)^P * N^N * S^-1 = c * V, V the representative's
-    Vandermonde product in pair order and c one element for every point: the
-    trace vector is twisted by c once, each V is read against it, and the
-    integrality division takes (-1)^P * N^N too (README, Conventions).
-    sqrt(2) = x^(m/8) + x^(-m/8) stays inside the trace (README,
-    Conventions).  Orbit sizes that do not add up to 2^n raise OrbitSizeError.
+    o + 2k: S' itself at g = 2, with no product, and its power above.  At
+    g = 0, (-1)^P * N^N * S^-1 = c * V, V the representative's Vandermonde
+    product in pair order and c one element for every point: each V is read
+    against the trace vector twisted by c, and the integrality division takes
+    (-1)^P * N^N too (README, Conventions).  sqrt(2) = x^(m/8) + x^(-m/8)
+    stays inside the trace (README, Conventions).  The trace vectors
+    (`_trace_halves`) and the staircase signs (`_orbit_signs`) are formed
+    once per rank; the orbit sizes are read from `point_orbits` on every
+    call, and sizes that do not add up to 2^n raise OrbitSizeError.
     """
-    N, m = n + 1, 4 * (n + 1)
-    sums = _ramanujan_sums(m)
+    N, m, P = n + 1, 4 * (n + 1), n * (n + 1) // 2
     twos = exponent + n // 2 * staircases + n % 2 * (staircases // 2)
-    root = m // 8 if n % 2 and staircases % 2 else 0  # sqrt(2) = x^root + x^-root
-    trace = [sums[(j + root) % m] + sums[(j - root) % m] for j in range(m)] if root else sums
-    if g == 0:  # Tr(c * x^j) for every j; pair a's squared coordinate is x^(2 lo + 4a), lo = 1 - N
-        c = _ring_staircase(m, [(2 - 2 * N + 4 * a) % m for a in range(N)], 2 * N)
-        trace = [sum(c_i * trace[(i + j) % m] for i, c_i in enumerate(c) if c_i) for j in range(m)]
-    # the residues o + 2k, k < m/2, are the residues of o's parity from o on
-    halves = [trace[parity::2] * 2 for parity in (0, 1)]
     orbits = point_orbits(N)
     points = sum(size for _, size in orbits)
     if points != 2**n:  # the integrality check below misses most such errors
         raise OrbitSizeError(f"the point orbits of rank {n} hold {points} points, not 2^{n}")
+    halves = _trace_halves(n, n % 2 == staircases % 2 == 1, g == 0)
+    signs = _orbit_signs(n) if staircases % 2 else repeat(1)
     if g == 1:  # S^0 = 1
-        weights = [([1], 0)] * len(orbits)
+        weights = repeat(((1,), 0))
     else:
         ring, memo = _orbit_staircases(n, 0 if g else N)
-        weights = ((ring.coeffs(W), lead % m) if g == 0 else
-                   (_ring_power(2 * N, ring.coeffs(W), g - 1), (g - 1) * lead % m)
-                   for W, lead in memo)
+        if g <= 2:  # V' at genus 0, S' at genus 2
+            weights = ((ring.coeffs(W), lead) for W, lead in memo)
+        else:  # S' has 2^P monomials, so its power needs (g-1)P + 1 bits a slot (`_ring_power`)
+            wide = _PackedRing(2 * N, _byte_width((g - 1) * P + 1))
+            weights = ((wide.coeffs(wide.power(ring.repack(W, wide), g - 1)), (g - 1) * lead)
+                       for W, lead in memo)
     total = 0
-    for (rep, size), (W, start) in zip(orbits, weights):
-        sign = rep.staircase_sign if staircases % 2 else 1
+    for (_rep, size), sign, (W, start) in zip(orbits, signs, weights):
+        start %= m
         total += sign * size * sum(map(mul, W, halves[start % 2][start // 2:]))
-    num, den = total << max(twos, 0), euler_phi(m) << max(-twos, 0)
+    # Tr(1) = c_m(0) = phi(m)
+    num, den = total << max(twos, 0), _ramanujan_sums(m)[0] << max(-twos, 0)
     if g == 0:
-        num, den = (-1) ** (N * n // 2) * num, den * N**N
+        num, den = (-1) ** P * num, den * N**N
     if num % den:
         raise NonIntegerValueError(f"value is not an integer: {Fraction(num, den)}")
     return num // den
+
+
+@lru_cache(maxsize=None)
+def _trace_halves(n: int, root: bool, genus_zero: bool) -> tuple[tuple[int, ...], ...]:
+    """The traces Tr(x^j) that `_trace_sum` reads at rank n, split by the parity of j.
+
+    m = 4(n+1); with `root`, the traces of x^j * sqrt(2), sqrt(2) =
+    x^(m/8) + x^(-m/8); with `genus_zero`, of x^j * c, c the product of
+    y_a - y_b over a < b, y_a = x^(2 lo + 4a) the squared coordinate of pair
+    a, lo = 1 - N.  Entry h of half p is the trace at residue 2h + p; each
+    half is written twice, so a read from any start o runs m/2 slots on.
+    """
+    N, m = n + 1, 4 * (n + 1)
+    trace = _ramanujan_sums(m)
+    if root:
+        trace = [trace[(j + m // 8) % m] + trace[(j - m // 8) % m] for j in range(m)]
+    if genus_zero:
+        c = _ring_staircase(m, [(2 - 2 * N + 4 * a) % m for a in range(N)], 2 * N)
+        trace = [sum(c_i * trace[(i + j) % m] for i, c_i in enumerate(c) if c_i)
+                 for j in range(m)]
+    return tuple(tuple(trace[parity::2]) * 2 for parity in (0, 1))
+
+
+@lru_cache(maxsize=None)
+def _orbit_signs(n: int) -> tuple[int, ...]:
+    """The staircase sign of each rank-n orbit's representative, in `point_orbits` order."""
+    return tuple(rep.staircase_sign for rep, _size in point_orbits(n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -423,12 +454,13 @@ def _orbit_staircases(n: int, shift: int) -> tuple[_PackedRing, tuple[tuple[int,
     Z[u]/(u^(2N) - 1).  Shift 0 takes the d ascending and gives the staircase
     product S.  Shift N takes them in pair order, d_i from the pair
     (lo + 2i, lo + 2i + 2N), and gives V, the product of x_i - x_j, since
-    x^(2N) = -1 in the field.  Returns the ring, at P + 1 bits a slot, and
+    x^(2N) = -1 in the field.  Returns the ring, at P + 1 bits a slot rounded
+    up to whole bytes (so that a power's ring can widen it bytewise), and
     per orbit S' packed in it, with d_1 * P.
     """
     N = n + 1
     P = N * (N - 1) // 2
-    ring = _PackedRing(2 * N, P + 1)
+    ring = _PackedRing(2 * N, _byte_width(P + 1))
     memo = []
     for rep, _size in point_orbits(N):
         # the window's low end is lo = 1 - N, so d is in pair (d - lo)/2 mod N
@@ -524,7 +556,7 @@ def maximal_count(n: int, g: int, ell: int, backend: str = "exact") -> int:
         )
     odd = ell % 2
     return _point_sum(n, g, backend, n * (g - 1 - odd) // 2,
-                      [staircase(n).parts] if odd else [])
+                      [tuple(range(n, 0, -1))] if odd else [])  # the staircase's parts
 
 
 # -- structural identities -----------------------------------------------------------

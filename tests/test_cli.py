@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -25,6 +26,28 @@ def test_help():
     cp = run_cli("--help")
     assert cp.returncode == 0
     assert "gw" in cp.stdout and "verify" in cp.stdout
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv, status", [
+    (("count", "--n", "6", "--genus", "2", "--ell", "0"), 0),
+    (("count", "--n", "5", "--genus", "2", "--ell", "0"), 2),
+    (("table", "--n", "2", "--genus-range", "0..4", "--ell", "0", "--format", "json"), 0)])
+def test_a_closed_stdout_exits_quietly_with_the_query_status(argv, status, unbuffered):
+    # the read end is closed before the child starts, so its first write to
+    # stdout fails with EPIPE, buffered or not
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        cp = subprocess.run([sys.executable, "-m", "lgquot", *argv], stdout=write,
+                            stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert (cp.returncode, cp.stderr) == (status, "")
 
 
 def test_gw_classical_value():

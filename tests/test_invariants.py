@@ -548,6 +548,8 @@ def test_orbit_staircases_are_formed_once_per_rank(monkeypatch, capsys):
 
     monkeypatch.setattr(invariants, "_ring_staircase", spy)
     invariants._orbit_staircases.cache_clear()
+    invariants._trace_halves.cache_clear()
+    invariants._orbit_signs.cache_clear()
     try:
         assert main(["table", "--n", "6", "--genus-range", "0..4", "--ell", "0"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 6
@@ -565,9 +567,8 @@ def test_orbit_staircases_are_formed_once_per_rank(monkeypatch, capsys):
         invariants._orbit_staircases.cache_clear()
 
 
-def test_genus_zero_traces_form_no_packed_product(monkeypatch):
-    # genus 0 reads each V' against the twisted trace vector: no product at
-    # all, where genus 3 squares each S' in the half ring
+def _spy_on_packed_products(monkeypatch):
+    """The ring order m of every `_PackedRing.mul` product formed from here on."""
     products = []
     ring_mul = _PackedRing.mul
 
@@ -576,6 +577,13 @@ def test_genus_zero_traces_form_no_packed_product(monkeypatch):
         return ring_mul(ring, p, q)
 
     monkeypatch.setattr(_PackedRing, "mul", spy)
+    return products
+
+
+def test_genus_zero_traces_form_no_packed_product(monkeypatch):
+    # genus 0 reads each V' against the twisted trace vector: no product at
+    # all, where genus 3 squares each S' in the half ring, once per orbit
+    products = _spy_on_packed_products(monkeypatch)
     invariants._orbit_staircases.cache_clear()
     try:
         assert maximal_count(9, 0, 1) == 1
@@ -584,8 +592,53 @@ def test_genus_zero_traces_form_no_packed_product(monkeypatch):
         gw_invariant(5, 0, 5, [staircase(5)] * 3)
         assert products == []
         maximal_count(8, 3, 0)
-        assert set(products) == {18}
+        assert len(point_orbits(9)) == 11
+        assert products == [18] * 11
     finally:
+        invariants._orbit_staircases.cache_clear()
+
+
+def test_genus_two_counts_form_no_packed_product(monkeypatch):
+    # S^1 is each orbit's S' as the memo keeps it: no power is formed
+    products = _spy_on_packed_products(monkeypatch)
+    invariants._orbit_staircases.cache_clear()
+    try:
+        assert maximal_count(6, 2, 0) == 219136
+        assert maximal_count(3, 2, 1) == maximal_count(3, 2, 3) == 128
+        maximal_count(8, 2, 0)
+        assert gw_invariant(5, 2, 5, [staircase(5)]) == 13568
+        assert products == []
+        maximal_count(6, 4, 0)
+        assert products == [14] * (2 * len(point_orbits(7)))
+    finally:
+        invariants._orbit_staircases.cache_clear()
+
+
+def test_genus_zero_twist_is_formed_once_per_rank(monkeypatch):
+    # c and the trace vector twisted by it are kept per rank: a second
+    # genus-0 sum at the rank forms no staircase product at all.  At odd n
+    # every genus-0 sum has an odd number of staircase factors, so all of
+    # them read the sqrt(2)-shifted trace
+    products = []
+
+    def spy(m, exponents, shift=0):
+        products.append(m)
+        return _ring_staircase(m, exponents, shift)
+
+    invariants._trace_halves.cache_clear()
+    invariants._orbit_staircases.cache_clear()
+    monkeypatch.setattr(invariants, "_ring_staircase", spy)
+    try:
+        assert maximal_count(7, 0, 1) == 1
+        assert products.count(32) == 1
+        del products[:]
+        assert maximal_count(7, 0, -1) == 1
+        assert maximal_count(7, 0, 3) == 1
+        assert gw_invariant(7, 0, 0, [staircase(7)]) == 1
+        assert gw_invariant(7, 0, 7, [staircase(7)] * 3) == 1
+        assert products == []
+    finally:
+        invariants._trace_halves.cache_clear()
         invariants._orbit_staircases.cache_clear()
 
 
