@@ -66,10 +66,16 @@ def _ramanujan_sums(m: int) -> tuple[int, ...]:
     = mu(m/g) * phi(m) / phi(m/g) with g = gcd(k, m) (Washington,
     Introduction to Cyclotomic Fields, ch. 2).  The first phi(m) entries are
     the traces of the power basis; the rest serve unreduced exponents.
+    mu(m/g) vanishes unless m/g is a product of distinct primes of m, and
+    multiplying such a d by one more prime p negates mu and multiplies phi by
+    p - 1: every nonzero sum is read from the one factorization of m.
     """
-    phi = euler_phi(m)
-    sums = {g: _mobius(m // g) * phi // euler_phi(m // g) for g in range(1, m + 1) if m % g == 0}
-    return tuple(sums[gcd(k, m)] for k in range(m))
+    primes = _factorize(m)
+    phi = prod(p ** (e - 1) * (p - 1) for p, e in primes.items())
+    sums = {1: phi}  # by squarefree d = m/g
+    for p in primes:
+        sums.update([(d * p, -c // (p - 1)) for d, c in sums.items()])
+    return tuple(sums.get(m // gcd(k, m), 0) for k in range(m))
 
 
 class _PackedRing:

@@ -255,8 +255,8 @@ def required_degree(n: int, g: int, insertions) -> int | None:
 # slot, 178.6 s.  The float point tables of gw and intersect double in memory
 # with each rank; a float count builds none.  An exact count sums one trace
 # per point orbit instead, at genus 0 with no inverse: on a shared 2-vCPU VM
-# the median (21, 3, 0) process took 3.3-3.9 s and (21, 0, 1) 2.6-2.9 s in
-# three sessions, and (22, 3, 0), summed past the limit in-process, 8.6 s.
+# the median (21, 3, 0) process took 1.7-1.9 s and (21, 0, 1) 1.2 s in two
+# sessions, and (22, 3, 0), summed past the limit in-process, 3.5 s.
 _MAX_RANK = {"exact": 15, "float": 18, "count": 21}
 
 
@@ -457,16 +457,42 @@ def _orbit_staircases(n: int, shift: int) -> tuple[_PackedRing, tuple[tuple[int,
     x^(2N) = -1 in the field.  Returns the ring, at P + 1 bits a slot rounded
     up to whole bytes (so that a power's ring can widen it bytewise), and
     per orbit S' packed in it, with d_1 * P.
+
+    S is symmetric, so both shifts take the factors in pair order:
+    x^(p_a) + x^(p_b + 2*shift) = x^(p_a) * (1 + u^f) over pairs a < b,
+    p_a = lo + 2a + 2N*h_a the pick of pair a (h_a = 1 for the high pick),
+    so f = (p_b - p_a)/2 + shift is b - a + N*(h_a XOR h_b XOR [shift = N])
+    modulo 2N.  The products of the (1 + u^f) are formed in one
+    depth-first pass over the representatives' pick vectors, sorted as
+    integers, adding pairs from N - 1 down: representatives that agree on
+    their top pairs share the product over those pairs.  Each product is
+    then shifted once by the sum of the x^(p_a), less d_1 * P, halved.
     """
     N = n + 1
-    P = N * (N - 1) // 2
+    P, high = N * (N - 1) // 2, shift // N
     ring = _PackedRing(2 * N, _byte_width(P + 1))
-    memo = []
-    for rep, _size in point_orbits(N):
-        # the window's low end is lo = 1 - N, so d is in pair (d - lo)/2 mod N
-        d = sorted(rep.doubled, key=lambda x: (x + N - 1) // 2 % N) if shift else rep.doubled
-        memo.append((ring.pack(_ring_staircase(2 * N, [(e - d[0]) // 2 for e in d], shift)),
-                     d[0] * P))
+    # the window's low end is lo = 1 - N: a pick above N is pair (d - lo)/2 - N's high pick
+    picks = [sum(1 << (d + N - 1) // 2 - N for d in rep.doubled if d > N)
+             for rep, _size in point_orbits(N)]
+    memo = [None] * len(picks)
+    # over pairs a < b with a >= i: partial[i] the product of the (1 + u^f),
+    # leads[i] the sum of (p_a - lo)/2 = a + N*(pick high), each counted once per b
+    partial, leads = [1] * (N + 1), [0] * (N + 1)
+    order = sorted(range(len(picks)), key=picks.__getitem__)
+    previous = picks[order[0]] ^ 1 << (N - 1)  # differs in the top pair: all pairs are added
+    for index in order:
+        v = picks[index]
+        for a in range((v ^ previous).bit_length() - 1, -1, -1):
+            flips = v ^ -(v >> a & 1 ^ high)  # bit b: h_a XOR h_b XOR [shift = N]
+            p = partial[a + 1]
+            for b in range(a + 1, N):
+                p += ring.shift(p, b - a + N * (flips >> b & 1))
+            partial[a] = p
+            leads[a] = leads[a + 1] + (a + N * (v >> a & 1)) * (N - 1 - a)
+        previous = v
+        # d_1 = lo + 2k: pair 0's pick in pair order, the least pick ascending
+        k = N * (v & 1) if shift else (~v & v + 1).bit_length() - 1
+        memo[index] = (ring.shift(partial[0], (leads[0] - k * P) % (2 * N)), (2 * k - N + 1) * P)
     return ring, tuple(memo)
 
 

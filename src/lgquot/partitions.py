@@ -276,19 +276,28 @@ def _orbit_walk(N: int, maps: bool):
     per orbit, its vector v of least low N-1 bits and, with `maps`, one
     (vector, a, s) per member, the first (a, s), a then s ascending, whose map
     sends v there; without, the orbit's size.
+
+    Only the units a < 2N are walked.  For odd a, a + 2N = a(2N + 1) mod 4N,
+    and d -> (2N + 1)d is the identity for odd N (d even) and the rotation
+    s = N/2 for even N (d odd, so d + 2N = d + 4 * N/2).  So (a + 2N, s) sends
+    every point where (a, s + [N even] * N/2) does, an image already reached,
+    and the first (a, s) of each member is the same as over all the units.
+    A unit's 5-bit tables are built by doubling, one pair's bit at a time.
     """
     m, full, half = 4 * N, (1 << N) - 1, (1 << (N - 1)) - 1
     lo = _window(N)[0]
     units = []
-    for a in range(1, m):
+    for a in range(1, 2 * N):
         if gcd(a, m) == 1:
             # the image of pair i's low pick is pair t % N, high pick if t >= N
             images = [(a * (lo + 2 * i) - lo) % m // 2 for i in range(N)]
             bits = [1 << t % N for t in images]
-            tables = [[0] * (1 << min(5, N - base)) for base in range(0, N, 5)]
-            for base, table in zip(range(0, N, 5), tables):
-                for x in range(1, len(table)):
-                    table[x] = table[x & (x - 1)] | bits[base + (x & -x).bit_length() - 1]
+            tables = []
+            for base in range(0, N, 5):
+                table = [0]
+                for b in bits[base:base + 5]:
+                    table += [t | b for t in table]
+                tables.append(table)
             flip = sum(b for b, t in zip(bits, images) if t >= N)
             units.append((a, tables, flip))
     seen = bytearray(half + 1)

@@ -254,3 +254,12 @@ def test_ramanujan_sums_cover_every_residue(m):
     assert len(sums) == m
     for e in range(m):
         assert sums[e] == CyclotomicNumber(m, [0] * e + [1]).trace()
+
+
+def test_ramanujan_sums_match_the_divisor_formula():
+    # c_m(k) = mu(m/g) * phi(m) / phi(m/g), g = gcd(k, m), each factor read
+    # from its own factorization
+    for m in range(1, 501):
+        phi = euler_phi(m)
+        assert _ramanujan_sums(m) == tuple(
+            _mobius(m // gcd(k, m)) * phi // euler_phi(m // gcd(k, m)) for k in range(m))

@@ -537,16 +537,22 @@ def test_half_ring_staircase_is_the_even_slots_of_the_full_product():
 
 
 def test_orbit_staircases_are_formed_once_per_rank(monkeypatch, capsys):
-    # a table over five genera forms each orbit's S' (shift 0, ascending) and
-    # V' (shift N, pair order) once, and keeps them packed; genus 0 also forms
-    # the fixed element c, once
-    products = []
+    # a table over five genera forms the fixed element c of genus 0 once and
+    # each orbit's S' (shift 0) and V' (shift N) in one memo per shift, kept
+    # packed; a second table at the rank forms no staircase product at all
+    products, shifts = [], []
+    ring_shift = _PackedRing.shift
 
     def spy(m, exponents, shift=0):
         products.append((m, exponents, shift))
         return _ring_staircase(m, exponents, shift)
 
+    def shift_spy(ring, p, a):
+        shifts.append(ring.m)
+        return ring_shift(ring, p, a)
+
     monkeypatch.setattr(invariants, "_ring_staircase", spy)
+    monkeypatch.setattr(_PackedRing, "shift", shift_spy)
     invariants._orbit_staircases.cache_clear()
     invariants._trace_halves.cache_clear()
     invariants._orbit_signs.cache_clear()
@@ -554,17 +560,37 @@ def test_orbit_staircases_are_formed_once_per_rank(monkeypatch, capsys):
         assert main(["table", "--n", "6", "--genus-range", "0..4", "--ell", "0"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 6
         N, orbits = 7, point_orbits(7)
-        pair = [sorted(rep.doubled, key=lambda d: (d + N - 1) // 2 % N) for rep, _ in orbits]
-        assert products == (
-            [(4 * N, [(2 - 2 * N + 4 * a) % (4 * N) for a in range(N)], 2 * N)]
-            + [(2 * N, [(d - p[0]) // 2 for d in p], N) for p in pair]
-            + [(2 * N, [(d - rep.doubled[0]) // 2 for d in rep.doubled], 0) for rep, _ in orbits])
+        assert products == [(4 * N, [(2 - 2 * N + 4 * a) % (4 * N) for a in range(N)], 2 * N)]
+        assert invariants._orbit_staircases.cache_info()[1:] == (2, None, 2)  # misses, size
         for shift in (0, N):
             _ring, memo = invariants._orbit_staircases(6, shift)
             assert len(memo) == len(orbits)
             assert all(type(packed) is int for packed, _ in memo)
+        del products[:], shifts[:]
+        assert main(["table", "--n", "6", "--genus-range", "0..4", "--ell", "0"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 6
+        assert products == shifts == []
+        assert invariants._orbit_staircases.cache_info()[1] == 2
     finally:
         invariants._orbit_staircases.cache_clear()
+
+
+def test_orbit_staircases_match_the_product_per_representative():
+    # the depth-first memo against the product formed at each representative
+    # on its own: S' over the exponents ascending, V' in pair order
+    for n in range(1, 15):
+        N = n + 1
+        P = N * (N - 1) // 2
+        for shift in (0, N):
+            ring, memo = invariants._orbit_staircases(n, shift)
+            assert (ring.m, ring.width) == (2 * N, -(-(P + 1) // 8) * 8)
+            reference = []
+            for rep, _size in point_orbits(N):
+                d = (sorted(rep.doubled, key=lambda x: (x + N - 1) // 2 % N) if shift
+                     else rep.doubled)
+                reference.append((ring.pack(_ring_staircase(
+                    2 * N, [(e - d[0]) // 2 for e in d], shift)), d[0] * P))
+            assert memo == tuple(reference)
 
 
 def _spy_on_packed_products(monkeypatch):

@@ -11,6 +11,7 @@ from lgquot.partitions import (
     IndexTuple,
     Partition,
     StrictPartition,
+    _orbit_walk,
     dual_partition,
     filter_no_opposites,
     filter_unit_product,
@@ -237,6 +238,53 @@ def test_point_orbits_partition_the_points():
             covered |= orbit
         assert covered == points
         assert sum(size for _rep, size in point_orbits(N)) == 2**n
+
+
+def _reference_walk(N):
+    """The orbits of the points under d -> a*d + 4s over all phi(4N) units a,
+    as `_orbit_walk(N, True)` yields them: per orbit, in the order of the
+    representatives' low N-1 bits, the representative's pick vector and each
+    member's, with the first (a, s), a then s ascending, that sends the
+    representative there.  Bit i of a pick vector: pair i takes its high pick."""
+    m, lo, half = 4 * N, 1 - N, (1 << (N - 1)) - 1
+
+    def vector(doubled):
+        return sum(1 << (d - lo) % m // 2 - N for d in doubled if (d - lo) % m >= 2 * N)
+
+    points = sorted(((vector(J.doubled), J.doubled) for J in summation_tuples(N)),
+                    key=lambda point: point[0] & half)
+    seen, orbits = set(), []
+    for v, rep in points:
+        if v in seen:
+            continue
+        members = []
+        for a in range(1, m):
+            if gcd(a, m) == 1:
+                for s in range(N):
+                    w = vector(a * d + 4 * s for d in rep)
+                    if w not in seen:
+                        seen.add(w)
+                        members.append((w, a, s))
+        orbits.append((v, members))
+    return orbits
+
+
+def test_orbit_walk_over_half_the_units_matches_the_walk_over_all():
+    for N in range(2, 15):
+        assert list(_orbit_walk(N, True)) == _reference_walk(N)
+
+
+def test_upper_units_repeat_the_lower_units_maps():
+    # (a + 2N, s) sends each coordinate where (a, s + [N even] N/2) does
+    for N in range(2, 13):
+        m = 4 * N
+        turn = N // 2 if N % 2 == 0 else 0
+        for J in summation_tuples(N):
+            for a in range(1, 2 * N):
+                if gcd(a, m) == 1:
+                    for s in range(N):
+                        assert ([((a + 2 * N) * d + 4 * s) % m for d in J.doubled]
+                                == [(a * d + 4 * (s + turn)) % m for d in J.doubled])
 
 
 @pytest.mark.parametrize("n,orbits", [(4, 3), (8, 11), (10, 15), (12, 37)])
