@@ -1,46 +1,26 @@
 """Exact Gromov-Witten invariants, Quot-scheme intersection numbers, and
 maximal-subbundle counts for Lagrangian Grassmannians over curves.
 
-The names of the cyclotomic field, the float backend, the point tables and
+`import lgquot` loads the integer kernels (`_ring`) and the count engine
+(`_count`), so `maximal_count` runs with nothing else loaded.  Every other
+name loads its module on first use: the formulas and the Schubert
+expressions (`invariants`), the partition classes and exponent tuples
+(`partitions`), the cyclotomic field, the float backend, the point tables and
 the oracle (`CyclotomicNumber`, `FloatBackend`, `PointTable`,
-`build_qh_algebra`, ...) load their module on first use, so `import lgquot`,
-and a process that only counts, exactly at genus >= 1 or in floats, imports
-none of `lgquot.cyclotomic`, `lgquot.symfunc` and `lgquot.oracle`.
+`build_qh_algebra`, ...).  So a process that only counts, exactly or in
+floats, builds no `IndexTuple` and imports none of those modules but
+`_float`.
 """
 
+from ._count import maximal_count, maximal_subbundle_degree
 from ._ring import (
+    NonHomogeneousError,
     NonIntegerValueError,
     NonvanishingAssumptionError,
     OrbitSizeError,
+    ParityError,
     SingularEulerError,
     euler_phi,
-)
-from .invariants import (
-    NonHomogeneousError,
-    ParityError,
-    SchubertExpression,
-    expected_dimension,
-    gw_invariant,
-    intersection_number,
-    maximal_count,
-    maximal_subbundle_degree,
-    point_from_tuple,
-    required_degree,
-    verify_hecke_recursion,
-    verify_staircase_insertion,
-    verify_twist_identity,
-)
-from .partitions import (
-    IndexTuple,
-    Partition,
-    StrictPartition,
-    dual_partition,
-    filter_no_opposites,
-    filter_unit_product,
-    root_tuples,
-    staircase,
-    strict_partitions,
-    summation_tuples,
 )
 
 __version__ = "0.1.0"
@@ -65,11 +45,18 @@ __all__ = [
 ]
 
 # the names resolved on first use (PEP 562), each with the module that defines
-# it; the two modules of the field and the tables are attributes as well
+# it; the modules of the formulas, the partitions, the field and the tables
+# are attributes as well
 _LAZY = {
-    "cyclotomic": "cyclotomic",
-    "symfunc": "symfunc",
+    **{module: module for module in ("cyclotomic", "invariants", "partitions", "symfunc")},
     "FloatBackend": "_float",
+    **dict.fromkeys(("SchubertExpression", "expected_dimension", "gw_invariant",
+                     "intersection_number", "point_from_tuple", "required_degree",
+                     "verify_hecke_recursion", "verify_staircase_insertion",
+                     "verify_twist_identity"), "invariants"),
+    **dict.fromkeys(("IndexTuple", "Partition", "StrictPartition", "dual_partition",
+                     "filter_no_opposites", "filter_unit_product", "root_tuples", "staircase",
+                     "strict_partitions", "summation_tuples"), "partitions"),
     **dict.fromkeys(("CyclotomicNumber", "ExactBackend", "cyclotomic_polynomial", "make_backend",
                      "root_of_unity", "sqrt_two", "working_order"), "cyclotomic"),
     **dict.fromkeys(("PointTable", "SkewMatrix", "complete_all", "determinant", "elementary_all",
@@ -80,7 +67,7 @@ _LAZY = {
 
 
 def __getattr__(name: str):
-    """Resolve a name of the field, the float backend, the tables or the oracle on first use."""
+    """Resolve a name of `_LAZY` on first use."""
     module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

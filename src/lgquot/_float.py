@@ -1,19 +1,24 @@
 """The floating complex twin backend, and its sum over the points with no point table.
 
-A float count needs nothing of the cyclotomic field or of the point tables, so
-a process that counts on the float backend loads this module and not
-`cyclotomic` or `symfunc`; `cyclotomic` re-exports `FloatBackend`.
+A float count needs nothing of the cyclotomic field, of the point tables or
+of the partition classes, so a process that counts on the float backend loads
+this module and not `cyclotomic`, `symfunc`, `partitions` or `fractions`;
+`cyclotomic` re-exports `FloatBackend`.
 """
 
 from __future__ import annotations
 
 import cmath
-from fractions import Fraction
 from itertools import combinations
 from math import prod, sqrt
 
-from ._ring import NonIntegerValueError, NonvanishingAssumptionError
-from .partitions import _staircase_sign, _summation_picks, _window
+from ._ring import (
+    NonIntegerValueError,
+    NonvanishingAssumptionError,
+    _staircase_sign,
+    _summation_picks,
+    _window,
+)
 
 
 def _beyond_float_range() -> ValueError:
@@ -36,9 +41,10 @@ class FloatBackend:
     one = 1 + 0j
 
     def from_fraction(self, value) -> complex:
-        value = Fraction(value)
+        """An int, Fraction or float as a complex, its ratio divided once."""
+        numerator, denominator = value.as_integer_ratio()
         try:
-            return complex(value.numerator / value.denominator)
+            return complex(numerator / denominator)
         except OverflowError:
             raise _beyond_float_range() from None
 
@@ -69,7 +75,9 @@ class FloatBackend:
             raise NonIntegerValueError(f"value is not close to an integer: {value}", value=value)
         return int(nearest)
 
-    def extract_rational(self, value: complex) -> Fraction:
+    def extract_rational(self, value: complex):
+        from fractions import Fraction
+
         if abs(value.imag) > self.integer_tolerance * max(1.0, abs(value)):
             raise NonIntegerValueError(f"value is not close to a rational: {value}", value=value)
         return Fraction(value.real).limit_denominator(10**12)
@@ -108,4 +116,5 @@ def _float_sum(n: int, g: int, exponent: int, staircases: int) -> int:
         for _ in range(staircases):
             term = term * factor
         total = total + term
-    return backend.extract_integer(total * backend.from_fraction(Fraction(2) ** exponent))
+    # below 0, 2 ** exponent is a float: the nearest to 2^exponent, which the exact ratio gives
+    return backend.extract_integer(total * backend.from_fraction(2 ** exponent))

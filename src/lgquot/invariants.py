@@ -10,9 +10,11 @@ evaluation points of rank n:
   bundle.
 
 Each sum runs over the 2^n admissible exponent tuples; the summand is a power
-of the staircase Schur value times qtilde values of the inserted classes.  In
-the exact backend a count is a sum of integer traces over point orbits; other
-sums stay in one cyclotomic field, their integer taken with a zero-residual check.
+of the staircase Schur value times qtilde values of the inserted classes.  A
+sum whose factors are all staircase values (every count) is the count
+engine's (`_count`, whose names this module re-exports): exactly, integer
+traces over point orbits.  Other sums stay in one cyclotomic field, their
+integer taken with a zero-residual check.
 """
 
 from __future__ import annotations
@@ -20,24 +22,27 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
-from operator import mul
 
-from ._frozen import Frozen
-from ._ring import (
-    NonIntegerValueError,
-    OrbitSizeError,
-    _byte_width,
-    _PackedRing,
-    _ramanujan_sums,
-    _ring_staircase,
+from ._count import (  # noqa: F401 (re-exported)
+    _MAX_RANK,
+    _check_rank_and_genus,
+    _check_rank_limit,
+    _count_is_finite,
+    _orbit_signs,
+    _orbit_staircases,
+    _staircase_sum,
+    _trace_halves,
+    _trace_sum,
+    maximal_count,
+    maximal_subbundle_degree,
 )
+from ._frozen import Frozen
+from ._ring import NonHomogeneousError, ParityError
 from .partitions import (
     IndexTuple,
     _shape,
     as_strict,
     point_orbit_members,
-    point_orbits,
     staircase,
     summation_tuples,
 )
@@ -57,14 +62,6 @@ __all__ = [
     "verify_hecke_recursion",
     "verify_staircase_insertion",
 ]
-
-
-class ParityError(ValueError):
-    """The evenness hypothesis of the counting formula fails for these parameters."""
-
-
-class NonHomogeneousError(ValueError):
-    """An expression that must be weighted-homogeneous mixes degrees."""
 
 
 class SchubertExpression(Frozen):
@@ -221,16 +218,6 @@ def expected_dimension(n: int, e: int, ell: int, g: int) -> int:
     return -(n + 1) * e - (n * (n + 1) // 2) * (g - 1 - ell)
 
 
-def maximal_subbundle_degree(n: int, g: int, ell: int) -> int:
-    """Degree of a maximal Lagrangian subbundle of a general symplectic bundle."""
-    return -((n * (g - 1 - ell)) // 2)
-
-
-def _count_is_finite(n: int, g: int, ell: int) -> bool:
-    """Whether n(ell - g + 1) is even, the hypothesis of the counting formula."""
-    return n * (ell - g + 1) % 2 == 0
-
-
 def required_degree(n: int, g: int, insertions) -> int | None:
     """The unique map degree d >= 0 compatible with the inserted weights, if any.
 
@@ -244,29 +231,6 @@ def required_degree(n: int, g: int, insertions) -> int | None:
 
 
 # -- evaluation points -----------------------------------------------------------
-
-
-# Largest rank each backend answers, and exact counts (README, Conventions).  A
-# query sums over 2^n points, and the limit reads the rank only: neither the
-# genus nor the insertions.  So the slowest admitted exact queries take
-# minutes: on a shared 2-vCPU VM the rank-15 genus-0 gw with the 4-part
-# classes (14,13,12,6);(15,14,10);(15,12,7,2) took 351.8 s over the point
-# tables, and the count (18, 101, 0), whose power S'^100 has 100P + 1 bits a
-# slot, 178.6 s.  The float point tables of gw and intersect double in memory
-# with each rank; a float count builds none.  An exact count sums one trace
-# per point orbit instead, at genus 0 with no inverse: on a shared 2-vCPU VM
-# the median (21, 3, 0) process took 1.7-1.9 s and (21, 0, 1) 1.2 s in two
-# sessions, and (22, 3, 0), summed past the limit in-process, 3.5 s.
-_MAX_RANK = {"exact": 15, "float": 18, "count": 21}
-
-
-def _check_rank_limit(n: int, kind: str) -> None:
-    """Refuse a rank above the limit of a backend or of exact counts, before any point."""
-    limit = _MAX_RANK.get(kind)
-    if limit is not None and n > limit:
-        over = "traces over the orbits of " if kind == "count" else ""
-        raise ValueError(f"rank {n} is above the {kind} limit of {limit}: "
-                         f"a query would sum {over}2^{n} = {2**n} points")
 
 
 @lru_cache(maxsize=None)
@@ -343,157 +307,17 @@ def _point_sum(n: int, g: int, backend: str, exponent: int, qtildes,
 
     S is the staircase Schur value at the point; the factors are the qtilde
     values of the partitions in `qtildes`, then the value of P if given.  This
-    is the one sum that the three formulas below share.  A sum whose factors
-    are all staircase qtilde values (every count, and gw with staircase
-    insertions only) builds no point table, at any genus: exactly it is a sum
-    of traces over point orbits (`_trace_sum`), in floats a product over each
-    point's coordinates (`_float_sum`).  Any other sum visits every point's
-    table (`_table_sum`).
+    is the one sum that the formulas share.  A sum whose factors are all
+    staircase qtilde values (every count, and gw with staircase insertions
+    only) builds no point table, at any genus: it is the count engine's
+    (`_staircase_sum`).  Any other sum visits every point's table
+    (`_table_sum`).
     """
     # a rank-n strict partition with n parts is the staircase
     if P is None and all(len(q) == n for q in qtildes):
-        if backend == "exact":
-            _check_rank_limit(n, "count")
-            return _trace_sum(n, g, exponent, len(qtildes))
-        if backend == "float":
-            from ._float import _float_sum
-
-            _check_rank_limit(n, "float")
-            return _float_sum(n, g, exponent, len(qtildes))
+        return _staircase_sum(n, g, backend, exponent, len(qtildes))
     _check_rank_limit(n, backend)
     return _table_sum(n, g, backend, exponent, qtildes, P)
-
-
-def _trace_sum(n: int, g: int, exponent: int, staircases: int) -> int:
-    """`_point_sum` of S^(g-1) times `staircases` staircase qtilde values, exactly.
-
-    A staircase qtilde value is eps * 2^(n/2), eps the point's staircase sign,
-    so the summand is 2^(n//2 * staircases) * W, W = eps^staircases * S^(g-1)
-    times sqrt(2)^staircases for odd n.  Its degree is a multiple of n + 1, so
-    rotation leaves it unchanged and a Galois map conjugates it: the sum is
-    sum over orbits |O| * Tr(W at the representative) / phi(m), m = 4(n+1).
-    In Z[x]/(x^m - 1), where Tr(x^j) is the Ramanujan sum c_m(j), the
-    representative's S^(g-1) is x^o times a polynomial in x^2, formed in
-    Z[u]/(u^(m/2) - 1) from `_orbit_staircases` and read at the residues
-    o + 2k: S' itself at g = 2, with no product, and its power above.  At
-    g = 0, (-1)^P * N^N * S^-1 = c * V, V the representative's Vandermonde
-    product in pair order and c one element for every point: each V is read
-    against the trace vector twisted by c, and the integrality division takes
-    (-1)^P * N^N too (README, Conventions).  sqrt(2) = x^(m/8) + x^(-m/8)
-    stays inside the trace (README, Conventions).  The trace vectors
-    (`_trace_halves`) and the staircase signs (`_orbit_signs`) are formed
-    once per rank; the orbit sizes are read from `point_orbits` on every
-    call, and sizes that do not add up to 2^n raise OrbitSizeError.
-    """
-    N, m, P = n + 1, 4 * (n + 1), n * (n + 1) // 2
-    twos = exponent + n // 2 * staircases + n % 2 * (staircases // 2)
-    orbits = point_orbits(N)
-    points = sum(size for _, size in orbits)
-    if points != 2**n:  # the integrality check below misses most such errors
-        raise OrbitSizeError(f"the point orbits of rank {n} hold {points} points, not 2^{n}")
-    halves = _trace_halves(n, n % 2 == staircases % 2 == 1, g == 0)
-    signs = _orbit_signs(n) if staircases % 2 else repeat(1)
-    if g == 1:  # S^0 = 1
-        weights = repeat(((1,), 0))
-    else:
-        ring, memo = _orbit_staircases(n, 0 if g else N)
-        if g <= 2:  # V' at genus 0, S' at genus 2
-            weights = ((ring.coeffs(W), lead) for W, lead in memo)
-        else:  # S' has 2^P monomials, so its power needs (g-1)P + 1 bits a slot (`_ring_power`)
-            wide = _PackedRing(2 * N, _byte_width((g - 1) * P + 1))
-            weights = ((wide.coeffs(wide.power(ring.repack(W, wide), g - 1)), (g - 1) * lead)
-                       for W, lead in memo)
-    total = 0
-    for (_rep, size), sign, (W, start) in zip(orbits, signs, weights):
-        start %= m
-        total += sign * size * sum(map(mul, W, halves[start % 2][start // 2:]))
-    # Tr(1) = c_m(0) = phi(m)
-    num, den = total << max(twos, 0), _ramanujan_sums(m)[0] << max(-twos, 0)
-    if g == 0:
-        num, den = (-1) ** P * num, den * N**N
-    if num % den:
-        raise NonIntegerValueError(f"value is not an integer: {Fraction(num, den)}")
-    return num // den
-
-
-@lru_cache(maxsize=None)
-def _trace_halves(n: int, root: bool, genus_zero: bool) -> tuple[tuple[int, ...], ...]:
-    """The traces Tr(x^j) that `_trace_sum` reads at rank n, split by the parity of j.
-
-    m = 4(n+1); with `root`, the traces of x^j * sqrt(2), sqrt(2) =
-    x^(m/8) + x^(-m/8); with `genus_zero`, of x^j * c, c the product of
-    y_a - y_b over a < b, y_a = x^(2 lo + 4a) the squared coordinate of pair
-    a, lo = 1 - N.  Entry h of half p is the trace at residue 2h + p; each
-    half is written twice, so a read from any start o runs m/2 slots on.
-    """
-    N, m = n + 1, 4 * (n + 1)
-    trace = _ramanujan_sums(m)
-    if root:
-        trace = [trace[(j + m // 8) % m] + trace[(j - m // 8) % m] for j in range(m)]
-    if genus_zero:
-        c = _ring_staircase(m, [(2 - 2 * N + 4 * a) % m for a in range(N)], 2 * N)
-        trace = [sum(c_i * trace[(i + j) % m] for i, c_i in enumerate(c) if c_i)
-                 for j in range(m)]
-    return tuple(tuple(trace[parity::2]) * 2 for parity in (0, 1))
-
-
-@lru_cache(maxsize=None)
-def _orbit_signs(n: int) -> tuple[int, ...]:
-    """The staircase sign of each rank-n orbit's representative, in `point_orbits` order."""
-    return tuple(rep.staircase_sign for rep, _size in point_orbits(n + 1))
-
-
-@lru_cache(maxsize=None)
-def _orbit_staircases(n: int, shift: int) -> tuple[_PackedRing, tuple[tuple[int, int], ...]]:
-    """The genus-free part of each rank-n orbit's staircase product, in `point_orbits` order.
-
-    A point's doubled exponents d_1, ..., d_N share one parity and span less
-    than 4N, so with P = N(N-1)/2 and e_i = (d_i - d_1)/2, the product of
-    x^(d_i) + x^(d_j + 2*shift) over i < j in Z[x]/(x^(4N) - 1) is
-    x^(d_1*P) * S'(u = x^2), S' the product of u^(e_i) + u^(e_j + shift) in
-    Z[u]/(u^(2N) - 1).  Shift 0 takes the d ascending and gives the staircase
-    product S.  Shift N takes them in pair order, d_i from the pair
-    (lo + 2i, lo + 2i + 2N), and gives V, the product of x_i - x_j, since
-    x^(2N) = -1 in the field.  Returns the ring, at P + 1 bits a slot rounded
-    up to whole bytes (so that a power's ring can widen it bytewise), and
-    per orbit S' packed in it, with d_1 * P.
-
-    S is symmetric, so both shifts take the factors in pair order:
-    x^(p_a) + x^(p_b + 2*shift) = x^(p_a) * (1 + u^f) over pairs a < b,
-    p_a = lo + 2a + 2N*h_a the pick of pair a (h_a = 1 for the high pick),
-    so f = (p_b - p_a)/2 + shift is b - a + N*(h_a XOR h_b XOR [shift = N])
-    modulo 2N.  The products of the (1 + u^f) are formed in one
-    depth-first pass over the representatives' pick vectors, sorted as
-    integers, adding pairs from N - 1 down: representatives that agree on
-    their top pairs share the product over those pairs.  Each product is
-    then shifted once by the sum of the x^(p_a), less d_1 * P, halved.
-    """
-    N = n + 1
-    P, high = N * (N - 1) // 2, shift // N
-    ring = _PackedRing(2 * N, _byte_width(P + 1))
-    # the window's low end is lo = 1 - N: a pick above N is pair (d - lo)/2 - N's high pick
-    picks = [sum(1 << (d + N - 1) // 2 - N for d in rep.doubled if d > N)
-             for rep, _size in point_orbits(N)]
-    memo = [None] * len(picks)
-    # over pairs a < b with a >= i: partial[i] the product of the (1 + u^f),
-    # leads[i] the sum of (p_a - lo)/2 = a + N*(pick high), each counted once per b
-    partial, leads = [1] * (N + 1), [0] * (N + 1)
-    order = sorted(range(len(picks)), key=picks.__getitem__)
-    previous = picks[order[0]] ^ 1 << (N - 1)  # differs in the top pair: all pairs are added
-    for index in order:
-        v = picks[index]
-        for a in range((v ^ previous).bit_length() - 1, -1, -1):
-            flips = v ^ -(v >> a & 1 ^ high)  # bit b: h_a XOR h_b XOR [shift = N]
-            p = partial[a + 1]
-            for b in range(a + 1, N):
-                p += ring.shift(p, b - a + N * (flips >> b & 1))
-            partial[a] = p
-            leads[a] = leads[a + 1] + (a + N * (v >> a & 1)) * (N - 1 - a)
-        previous = v
-        # d_1 = lo + 2k: pair 0's pick in pair order, the least pick ascending
-        k = N * (v & 1) if shift else (~v & v + 1).bit_length() - 1
-        memo[index] = (ring.shift(partial[0], (leads[0] - k * P) % (2 * N)), (2 * k - N + 1) * P)
-    return ring, tuple(memo)
 
 
 def _table_sum(n: int, g: int, backend: str, exponent: int, qtildes,
@@ -513,13 +337,6 @@ def _table_sum(n: int, g: int, backend: str, exponent: int, qtildes,
 
 
 # -- the formulas ------------------------------------------------------------------
-
-
-def _check_rank_and_genus(n: int, g: int) -> None:
-    if n < 1:
-        raise ValueError(f"rank must be positive, got {n}")
-    if g < 0:
-        raise ValueError(f"genus must be nonnegative, got {g}")
 
 
 def gw_invariant(n: int, g: int, d: int, insertions, backend: str = "exact") -> int:
@@ -562,27 +379,6 @@ def intersection_number(n: int, g: int, ell: int, e: int, P: SchubertExpression,
     half_ell = (ell + 1) // 2
     return _point_sum(n, g, backend, n * (g - 1) + e - half_ell * n,
                       [staircase(n).parts] if ell % 2 else [], P)
-
-
-def maximal_count(n: int, g: int, ell: int, backend: str = "exact") -> int:
-    """Number of maximal Lagrangian subbundles of a general stable symplectic bundle.
-
-    Requires n(ell - g + 1) even, which fixes the maximal subsheaf degree
-    e = n(ell - g + 1)/2.  The prefactor is 2^(n(g-1)/2) for even ell and
-    2^(n(g-2)/2) for odd ell (with an extra staircase qtilde factor in the
-    sum); the parity condition makes both exponents whole numbers.  The count
-    is enumerative for genus at least 2; for smaller genus it is the bare
-    formula value.
-    """
-    _check_rank_and_genus(n, g)
-    if not _count_is_finite(n, g, ell):
-        raise ParityError(
-            f"n(ell - g + 1) = {n * (ell - g + 1)} is odd; no finite count for "
-            f"(n={n}, g={g}, ell={ell})"
-        )
-    odd = ell % 2
-    return _point_sum(n, g, backend, n * (g - 1 - odd) // 2,
-                      [tuple(range(n, 0, -1))] if odd else [])  # the staircase's parts
 
 
 # -- structural identities -----------------------------------------------------------

@@ -9,12 +9,17 @@ stored doubled, so every membership test is integer residue arithmetic.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache
-from itertools import combinations, product
-from math import gcd
+from itertools import combinations
 
 from ._frozen import Frozen
+from ._ring import (
+    _orbit_picks,
+    _orbit_walk,
+    _staircase_sign,
+    _summation_picks,
+    _window,
+)
 
 __all__ = [
     "Partition",
@@ -164,40 +169,6 @@ class IndexTuple(Frozen):
         return _staircase_sign(self.N, self.doubled)
 
 
-def _staircase_sign(N: int, d: tuple[int, ...]) -> int:
-    """Sign of the staircase Schur value prod_{i<j} (x_i + x_j) at a summation point.
-
-    With x_i = zeta^d_i, zeta a primitive 4N-th root and d the doubled
-    exponents, x_i + x_j = zeta^((d_i + d_j)/2) * 2cos(pi (d_j - d_i)/4N).
-    Under unit product the phases multiply to (-1)^((N-1) sum(d)/4N), so
-    the value is real, and a cosine is negative exactly when d_j - d_i > 2N.
-    Without opposite coordinates the window's N pairs (b, b + 2N) each give
-    one entry, a low pick b or a high pick b + 2N, and d_j - d_i > 2N
-    exactly when d_i is a low pick and d_j the high pick of a later pair.
-    """
-    turns, rest = divmod(sum(d), 4 * N)
-    if rest:
-        raise ValueError(f"coordinates of {d} do not multiply to 1")
-    two_n = 2 * N
-    if len({x % two_n for x in d}) < N:
-        raise ValueError(f"opposite coordinates in {d}")
-    # the window is [1 - N, 3N - 1]: the high picks are those from N + 1 on,
-    # and the t-th of them (from 0), x, has (x - N - 1)/2 earlier pairs, t high
-    first_high = bisect_left(d, N + 1)
-    highs = N - first_high
-    lows_before = (sum(d[first_high:]) - highs * (N + 1)) // 2 - highs * (highs - 1) // 2
-    return -1 if ((N - 1) * turns + lows_before) % 2 else 1
-
-
-def _window(N: int) -> tuple[int, int, int]:
-    """Inclusive doubled-exponent window (lo, hi) and required parity for size N."""
-    if N % 2 == 1:
-        m = (N - 1) // 2
-        return -2 * m, 6 * m + 2, 0
-    m = N // 2
-    return -2 * m + 1, 6 * m - 1, 1
-
-
 def root_tuples(N: int) -> list[IndexTuple]:
     """Every strictly increasing exponent tuple in the size-N window.
 
@@ -254,72 +225,6 @@ def summation_tuples(N: int) -> tuple[IndexTuple, ...]:
     return tuple(IndexTuple(N, pick) for pick in _summation_picks(N))
 
 
-@lru_cache(maxsize=None)
-def _summation_picks(N: int) -> tuple[tuple[int, ...], ...]:
-    """The doubled exponents of `summation_tuples(N)` as plain tuples, in the same order."""
-    lo, _hi, _parity = _window(N)
-    pairs = [(d, d + 2 * N) for d in range(lo, lo + 2 * N, 2)]
-    return tuple(sorted(
-        tuple(sorted(pick)) for pick in product(*pairs) if sum(pick) % (4 * N) == 0
-    ))
-
-
-def _orbit_walk(N: int, maps: bool):
-    """The orbits of the summation points under the maps d -> a*d + 4s, as pick vectors.
-
-    Bit i of a pick vector says whether opposite pair i, (lo + 2i, lo + 2i + 2N),
-    takes its high pick.  The window sums to 0, so unit product means an even
-    number of high picks: the last bit follows from the others.  A unit a
-    modulo 4N (Galois) sends each pair to a pair, flipping the pick or not: a
-    bit permutation, applied five bits at a time, then an XOR.  Rotation d -> d + 4
-    moves every pick two pairs on and flips the two that wrap round.  Yields,
-    per orbit, its vector v of least low N-1 bits and, with `maps`, one
-    (vector, a, s) per member, the first (a, s), a then s ascending, whose map
-    sends v there; without, the orbit's size.
-
-    Only the units a < 2N are walked.  For odd a, a + 2N = a(2N + 1) mod 4N,
-    and d -> (2N + 1)d is the identity for odd N (d even) and the rotation
-    s = N/2 for even N (d odd, so d + 2N = d + 4 * N/2).  So (a + 2N, s) sends
-    every point where (a, s + [N even] * N/2) does, an image already reached,
-    and the first (a, s) of each member is the same as over all the units.
-    A unit's 5-bit tables are built by doubling, one pair's bit at a time.
-    """
-    m, full, half = 4 * N, (1 << N) - 1, (1 << (N - 1)) - 1
-    lo = _window(N)[0]
-    units = []
-    for a in range(1, 2 * N):
-        if gcd(a, m) == 1:
-            # the image of pair i's low pick is pair t % N, high pick if t >= N
-            images = [(a * (lo + 2 * i) - lo) % m // 2 for i in range(N)]
-            bits = [1 << t % N for t in images]
-            tables = []
-            for base in range(0, N, 5):
-                table = [0]
-                for b in bits[base:base + 5]:
-                    table += [t | b for t in table]
-                tables.append(table)
-            flip = sum(b for b, t in zip(bits, images) if t >= N)
-            units.append((a, tables, flip))
-    seen = bytearray(half + 1)
-    i = 0
-    while (i := seen.find(0, i)) >= 0:
-        v = i | (i.bit_count() & 1) << (N - 1)
-        members = [] if maps else 0
-        for a, tables, flip in units:
-            w = flip
-            for k, table in enumerate(tables):
-                w ^= table[v >> 5 * k & 31]
-            for s in range(N):
-                if not seen[w & half]:
-                    seen[w & half] = 1
-                    if maps:
-                        members.append((w, a, s))
-                    else:
-                        members += 1
-                w = (w << 2 & full) | (w >> (N - 2) ^ 3)
-        yield v, members
-
-
 def point_orbit_members(N: int):
     """The orbits of `_orbit_walk` by index in `summation_tuples(N)`.
 
@@ -336,8 +241,9 @@ def point_orbit_members(N: int):
 def point_orbits(N: int) -> tuple[tuple[IndexTuple, int], ...]:
     """Orbits of the summation points: (representative, orbit size) pairs.
 
-    The orbits and representatives of `_orbit_walk`; no other point is built.
+    The orbits and representatives of `_orbit_walk`, from the walk that the
+    counts read as pick vectors (`_orbit_picks`); no other point is built.
     """
     lo = _window(N)[0]
     return tuple((IndexTuple(N, sorted(lo + 2 * (i + N * (v >> i & 1)) for i in range(N))), size)
-                 for v, size in _orbit_walk(N, False))
+                 for v, size in _orbit_picks(N))

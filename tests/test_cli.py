@@ -471,13 +471,13 @@ def test_count_with_a_wrong_orbit_size_fails_by_name(monkeypatch, capsys):
     # orbit sizes that do not add up to 2^n are a named error, not a wrong
     # integer: the integrality check caught (6, 2, 0), but the other three
     # printed a wrong count with exit 0
-    from lgquot import invariants
+    from lgquot import _count
 
-    orbits = invariants.point_orbits
+    orbits = _count._orbit_picks
 
     def one_member_too_many(N):
-        (rep, size), *rest = orbits(N)
-        return ((rep, size + 1), *rest)
+        (pick, size), *rest = orbits(N)
+        return ((pick, size + 1), *rest)
 
     for n, g, ell, value in [(6, 2, 0, 219136), (4, 3, 0, 182016), (5, 3, 0, 24289280),
                              (3, 2, 1, 128)]:
@@ -485,7 +485,7 @@ def test_count_with_a_wrong_orbit_size_fails_by_name(monkeypatch, capsys):
         assert main(argv) == 0
         assert capsys.readouterr().out.splitlines()[0] == str(value)
         with monkeypatch.context() as patch:
-            patch.setattr(invariants, "point_orbits", one_member_too_many)
+            patch.setattr(_count, "_orbit_picks", one_member_too_many)
             assert main(argv) == 3
         assert capsys.readouterr().out == (
             f"error ORBIT_SIZE: the point orbits of rank {n} hold {2**n + 1} points, not 2^{n}\n")

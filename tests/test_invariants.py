@@ -7,8 +7,17 @@ from operator import mul
 
 import pytest
 
-from lgquot import invariants
-from lgquot._ring import _PackedRing, _ramanujan_sums, _ring_power, _ring_staircase
+from lgquot import _count, invariants
+from lgquot._ring import (
+    _orbit_walk,
+    _PackedRing,
+    _pick_sign,
+    _ramanujan_sums,
+    _ring_power,
+    _ring_staircase,
+    _staircase_sign,
+    _summation_picks,
+)
 from lgquot.cli import main
 from lgquot.cyclotomic import CyclotomicNumber, euler_phi, root_of_unity
 from lgquot.invariants import (
@@ -551,28 +560,47 @@ def test_orbit_staircases_are_formed_once_per_rank(monkeypatch, capsys):
         shifts.append(ring.m)
         return ring_shift(ring, p, a)
 
-    monkeypatch.setattr(invariants, "_ring_staircase", spy)
+    monkeypatch.setattr(_count, "_ring_staircase", spy)
     monkeypatch.setattr(_PackedRing, "shift", shift_spy)
-    invariants._orbit_staircases.cache_clear()
-    invariants._trace_halves.cache_clear()
-    invariants._orbit_signs.cache_clear()
+    _count._orbit_staircases.cache_clear()
+    _count._trace_halves.cache_clear()
+    _count._orbit_signs.cache_clear()
     try:
         assert main(["table", "--n", "6", "--genus-range", "0..4", "--ell", "0"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 6
         N, orbits = 7, point_orbits(7)
         assert products == [(4 * N, [(2 - 2 * N + 4 * a) % (4 * N) for a in range(N)], 2 * N)]
-        assert invariants._orbit_staircases.cache_info()[1:] == (2, None, 2)  # misses, size
+        assert _count._orbit_staircases.cache_info()[1:] == (2, None, 2)  # misses, size
         for shift in (0, N):
-            _ring, memo = invariants._orbit_staircases(6, shift)
+            _ring, memo = _count._orbit_staircases(6, shift)
             assert len(memo) == len(orbits)
             assert all(type(packed) is int for packed, _ in memo)
         del products[:], shifts[:]
         assert main(["table", "--n", "6", "--genus-range", "0..4", "--ell", "0"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 6
         assert products == shifts == []
-        assert invariants._orbit_staircases.cache_info()[1] == 2
+        assert _count._orbit_staircases.cache_info()[1] == 2
     finally:
-        invariants._orbit_staircases.cache_clear()
+        _count._orbit_staircases.cache_clear()
+
+
+def test_count_orbits_are_the_point_orbits_as_pick_vectors():
+    # the count engine reads each orbit as its representative's pick vector
+    # (bit i for pair i's high pick) with the walk's size, and its staircase
+    # sign from the bits, with no IndexTuple; partitions builds its
+    # representatives from the same walk
+    for n in range(1, 15):
+        N = n + 1
+        orbits, picks = point_orbits(N), _count._orbit_picks(N)
+        assert [sum(1 << (d + N - 1) // 2 - N for d in rep.doubled if d > N)
+                for rep, _size in orbits] == [v for v, _size in picks]
+        assert [size for _rep, size in orbits] == [size for _v, size in picks]
+        assert [(v, len(members)) for v, members in _orbit_walk(N, True)] == list(picks)
+        assert _count._orbit_signs(n) == tuple(rep.staircase_sign for rep, _size in orbits)
+    for N in range(2, 11):
+        for d in _summation_picks(N):
+            v = sum(1 << (x + N - 1) // 2 - N for x in d if x > N)
+            assert _pick_sign(N, v) == _staircase_sign(N, d)
 
 
 def test_orbit_staircases_match_the_product_per_representative():
@@ -651,9 +679,9 @@ def test_genus_zero_twist_is_formed_once_per_rank(monkeypatch):
         products.append(m)
         return _ring_staircase(m, exponents, shift)
 
-    invariants._trace_halves.cache_clear()
-    invariants._orbit_staircases.cache_clear()
-    monkeypatch.setattr(invariants, "_ring_staircase", spy)
+    _count._trace_halves.cache_clear()
+    _count._orbit_staircases.cache_clear()
+    monkeypatch.setattr(_count, "_ring_staircase", spy)
     try:
         assert maximal_count(7, 0, 1) == 1
         assert products.count(32) == 1
@@ -664,8 +692,8 @@ def test_genus_zero_twist_is_formed_once_per_rank(monkeypatch):
         assert gw_invariant(7, 0, 7, [staircase(7)] * 3) == 1
         assert products == []
     finally:
-        invariants._trace_halves.cache_clear()
-        invariants._orbit_staircases.cache_clear()
+        _count._trace_halves.cache_clear()
+        _count._orbit_staircases.cache_clear()
 
 
 def test_orbit_staircase_values_match_the_per_point_product(monkeypatch):
@@ -683,8 +711,8 @@ def test_orbit_staircase_values_match_the_per_point_product(monkeypatch):
     _point_tables.cache_clear()
     try:
         for n in range(1, 11):
-            invariants._orbit_staircases(n, 0)
-        monkeypatch.setattr(invariants, "_ring_staircase", spy)
+            _count._orbit_staircases(n, 0)
+        monkeypatch.setattr(_count, "_ring_staircase", spy)
         for n in range(1, 11):
             backend, tables = _point_tables(n, "exact")
             assert products == []

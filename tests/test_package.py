@@ -60,10 +60,21 @@ def test_unknown_attribute_raises_attribute_error():
     assert not hasattr(lgquot, "mat_inverse")  # an oracle name the package never exported
 
 
-LEAN = ("lgquot._float", "lgquot.cyclotomic", "lgquot.symfunc", "lgquot.oracle", "lgquot.verify",
-        "dataclasses")
+# the modules a count leaves unloaded, in the order the tests list them
+LEAN = ("lgquot._float", "lgquot._frozen", "lgquot._grammar", "lgquot.cyclotomic",
+        "lgquot.invariants", "lgquot.partitions", "lgquot.symfunc", "lgquot.oracle",
+        "lgquot.verify", "dataclasses", "decimal", "fractions")
 FLOAT = ["lgquot._float"]
-TABLES = FLOAT + ["lgquot.cyclotomic", "lgquot.symfunc"]  # the field re-exports the float backend
+FORMULAS = ["lgquot._frozen", "lgquot.invariants", "lgquot.partitions"]
+# the field re-exports the float backend, and it and the formulas load fractions (and decimal)
+TABLES = FLOAT + ["lgquot.cyclotomic", "lgquot.symfunc", "decimal", "fractions"]
+
+
+def _lean(*groups) -> list:
+    """The modules of LEAN in any of `groups`, in LEAN's order."""
+    names = {name for group in groups for name in group}
+    return [name for name in LEAN if name in names]
+
 
 COUNT = ["count", "--n", "8", "--genus", "3", "--ell", "0"]
 COUNT_BOTH = ["count", "--n", "2", "--genus", "2", "--ell", "0", "--backend", "both"]
@@ -87,13 +98,19 @@ def _run_script(script: str, tmp_path) -> list:
 
 
 def test_import_loads_neither_the_tables_nor_the_oracle(tmp_path):
+    # `import lgquot` loads the count engine and its kernels, and nothing else
+    # of the package: a count right after it loads no module either
     script = (
         f"import json, sys; sys.path.insert(0, {SRC!r}); import lgquot; "
+        f"package = sorted(m for m in sys.modules if m.partition('.')[0] == 'lgquot'); "
         f"loaded = [m for m in {LEAN!r} if m in sys.modules]; "
+        f"lgquot.maximal_count(6, 3, 1); "
+        f"counted = [m for m in {LEAN!r} if m in sys.modules]; "
         f"lgquot.symfunc.PointTable(lgquot.cyclotomic.FloatBackend(), (1, -1)); "
-        f"print(json.dumps([loaded, [m for m in {LEAN!r} if m in sys.modules]]))"
+        f"print(json.dumps([package, loaded, counted, [m for m in {LEAN!r} if m in sys.modules]]))"
     )
-    assert _run_script(script, tmp_path) == [[], TABLES]
+    assert _run_script(script, tmp_path) == [["lgquot", "lgquot._count", "lgquot._ring"], [], [],
+                                             _lean(TABLES, ["lgquot._frozen", "lgquot.partitions"])]
 
 
 def test_oracle_build_loads_neither_the_field_nor_the_tables(tmp_path):
@@ -104,30 +121,52 @@ def test_oracle_build_loads_neither_the_field_nor_the_tables(tmp_path):
         f"build_qh_algebra(4, cache_dir={str(tmp_path)!r}); "
         f"print(json.dumps([m for m in {LEAN!r} if m in sys.modules]))"
     )
-    assert _run_script(script, tmp_path) == ["lgquot.oracle"]
+    assert _run_script(script, tmp_path) == _lean(FORMULAS, ["lgquot.oracle", "decimal",
+                                                            "fractions"])
     assert [p.name for p in tmp_path.iterdir()] == ["qh_algebra_n4_v1.json"]
 
 
+# an exact or float count or table loads no formula, no grammar, no partition
+# class and no `fractions` or `decimal`: only the package, `_ring`, `_count`
+# and `cli`, and `_float` on the float backend
 @pytest.mark.parametrize("argv, loaded", [
     (COUNT, []),
     (COUNT_0, []),
     (COUNT_BOTH, FLOAT),
     (COUNT_FLOAT, FLOAT),
-    (GW, TABLES),
-    (INTERSECT, TABLES),
+    (GW, _lean(TABLES, FORMULAS, ["lgquot._grammar"])),
+    (INTERSECT, _lean(TABLES, FORMULAS, ["lgquot._grammar"])),
     (TABLE, []),
     (TABLE_0, []),
     (TABLE_FLOAT, FLOAT),
-    (VERIFY, TABLES + ["lgquot.oracle", "lgquot.verify"]),
+    (VERIFY, _lean(TABLES, FORMULAS, ["lgquot.oracle", "lgquot.verify"])),
 ], ids=["count", "count-genus-0", "count-both", "count-float", "gw", "intersect", "table",
         "table-genus-0", "table-float", "verify"])
 def test_cli_process_imports_only_what_it_runs(argv, loaded, tmp_path):
     script = (
         f"import json, sys; sys.path.insert(0, {SRC!r}); "
         f"from lgquot.cli import main; code = main({argv!r}); "
-        f"print(json.dumps([code, [m for m in {LEAN!r} if m in sys.modules]]))"
+        f"package = sorted(m for m in sys.modules if m.partition('.')[0] == 'lgquot'); "
+        f"print(json.dumps([code, [m for m in {LEAN!r} if m in sys.modules], package]))"
     )
-    assert _run_script(script, tmp_path) == [0, loaded]
+    code, lean, package = _run_script(script, tmp_path)
+    assert [code, lean] == [0, loaded]
+    assert set(package) == {"lgquot", "lgquot._count", "lgquot._ring", "lgquot.cli", *loaded} - {
+        "dataclasses", "decimal", "fractions"}
+
+
+def test_cli_grammars_resolve_on_first_use(tmp_path):
+    # `lgquot.cli` resolves the grammars of gw and intersect from `_grammar` on first use
+    script = (
+        f"import json, sys; sys.path.insert(0, {SRC!r}); import lgquot.cli as cli; "
+        f"before = 'lgquot._grammar' in sys.modules; "
+        f"from lgquot.cli import parse_partition_list; parse_poly = cli.parse_poly; "
+        f"from lgquot import _grammar; "
+        f"print(json.dumps([before, parse_poly is _grammar.parse_poly, "
+        f"parse_partition_list is _grammar.parse_partition_list, "
+        f"'parse_poly' in dir(cli), hasattr(cli, 'no_such_name')]))"
+    )
+    assert _run_script(script, tmp_path) == [False, True, True, True, False]
 
 
 # Each command loads what its query runs before the clock starts, so that
