@@ -6,7 +6,7 @@ is read orbit by orbit from the pick vectors of `_ring._orbit_picks`; in
 floats, point by point (`_float`).  This module imports nothing of the
 package but `_ring`, so a process that only counts builds no `IndexTuple` and
 loads neither `partitions` nor the formulas of `invariants`, which re-exports
-these names.
+the public names.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from ._ring import (
     _byte_width,
     _orbit_picks,
     _PackedRing,
-    _pick_sign,
     _ramanujan_sums,
     _ring_staircase,
+    _staircase_sign,
+    _window,
 )
 
 
@@ -187,7 +188,10 @@ def _trace_halves(n: int, root: bool, genus_zero: bool) -> tuple[tuple[int, ...]
 @lru_cache(maxsize=None)
 def _orbit_signs(n: int) -> tuple[int, ...]:
     """The staircase sign of each rank-n orbit's representative, in `_orbit_picks` order."""
-    return tuple(_pick_sign(n + 1, v) for v, _size in _orbit_picks(n + 1))
+    N = n + 1
+    lo = _window(N)[0]
+    return tuple(_staircase_sign(N, tuple(sorted(lo + 2 * (i + N * (v >> i & 1)) for i in range(N))))
+                 for v, _size in _orbit_picks(N))
 
 
 @lru_cache(maxsize=None)

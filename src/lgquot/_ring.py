@@ -298,15 +298,3 @@ def _orbit_picks(N: int) -> tuple[tuple[int, int], ...]:
     """The orbits of `_orbit_walk` as (representative's pick vector, orbit size) pairs."""
     return tuple(_orbit_walk(N, False))
 
-
-def _pick_sign(N: int, v: int) -> int:
-    """`_staircase_sign` of the point with pick vector v, read from its bits.
-
-    With k high picks (k even) the doubled exponents sum to 2Nk, so the
-    phases give (-1)^((N-1) k/2); a high pick j lies after j pairs, of which
-    the high picks below it are not low: the low picks before high ones
-    number the sum of the high bits' positions less k(k-1)/2.
-    """
-    k = v.bit_count()
-    positions = sum(j for j in range(N) if v >> j & 1)
-    return -1 if ((N - 1) * (k // 2) + positions - k * (k - 1) // 2) % 2 else 1

@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
 from . import SUITE_NAMES
 from ._count import (
@@ -37,6 +38,11 @@ from ._ring import (
     SingularEulerError,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .invariants import SchubertExpression
+
 __all__ = ["main", "parse_partition_list", "parse_poly", "CLIParseError"]
 
 GENUS_NOTE = "formula value (enumerative meaning needs genus >= 2)"
@@ -52,22 +58,155 @@ class CLIParseError(ValueError):
 
 # -- argument grammars -----------------------------------------------------------
 
-# gw and intersect parse their classes in `_grammar`, which loads the formulas
-# and `fractions`: `main` loads it before the clock, and `parse_partition_list`
-# and `parse_poly` resolve from it on first use (PEP 562), as the package
-# root's lazy names do
-def __getattr__(name: str):
-    """Resolve a grammar of gw or intersect on first use."""
-    if name not in ("parse_partition_list", "parse_poly"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import _grammar
 
-    value = globals()[name] = getattr(_grammar, name)
-    return value
+def _strict_parts(parts, n: int, position: int) -> tuple[int, ...]:
+    """The parts of a rank-n strict partition, or a CLIParseError at `position`."""
+    from .partitions import _shape
+
+    try:
+        return _shape(parts, strict=True, n=n)
+    except ValueError as exc:
+        raise CLIParseError(str(exc), position) from None
 
 
-def __dir__():
-    return sorted(globals().keys() | set(__all__))
+def parse_partition_list(text: str, n: int) -> list[tuple[int, ...]]:
+    """Parse "2,1;2;1" into strict partitions; '' is the empty list."""
+    if text.strip() == "":
+        return []
+    partitions = []
+    offset = 0
+    for segment in text.split(";"):
+        parts = []
+        inner = 0
+        for piece in segment.split(","):
+            position = offset + inner
+            stripped = piece.strip()
+            if not stripped or not (stripped.isdigit() or
+                                    (stripped[0] == "-" and stripped[1:].isdigit())):
+                raise CLIParseError(f"expected an integer, got {piece!r}", position)
+            parts.append(int(stripped))
+            inner += len(piece) + 1
+        partitions.append(_strict_parts(parts, n, offset))
+        offset += len(segment) + 1
+    return partitions
+
+
+def _tokenize_poly(text: str) -> list[tuple[str, int | None, int]]:
+    tokens: list[tuple[str, int | None, int]] = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(("int", int(text[i:j]), i))
+            i = j
+        elif ch in "aQ[],^*+-/":
+            tokens.append((ch, None, i))
+            i += 1
+        else:
+            raise CLIParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", None, len(text)))
+    return tokens
+
+
+class _PolyParser:
+    """Recursive-descent parser for the --poly grammar.
+
+    expr   := ['-'] term (('+'|'-') term)*
+    term   := rational ('*' factor)* | factor ('*' factor)*
+    factor := 'a' int ['^' int] | 'Q[' int (',' int)* ']' ['^' int]
+    """
+
+    def __init__(self, text: str, n: int):
+        self.tokens = _tokenize_poly(text)
+        self.pos = 0
+        self.n = n
+
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
+
+    def take(self, kind: str) -> tuple[str, int | None, int]:
+        token = self.tokens[self.pos]
+        if token[0] != kind:
+            raise CLIParseError(f"expected {kind!r}, got {token[0]!r}", token[2])
+        self.pos += 1
+        return token
+
+    def parse(self) -> SchubertExpression:
+        negate = False
+        if self.peek() == "-":
+            self.take("-")
+            negate = True
+        expr = self._term()
+        if negate:
+            expr = -expr
+        while self.peek() in "+-":
+            op = self.take(self.peek())[0]
+            term = self._term()
+            expr = expr + term if op == "+" else expr - term
+        self.take("end")
+        return expr
+
+    def _term(self) -> SchubertExpression:
+        from fractions import Fraction
+
+        from .invariants import SchubertExpression
+
+        coeff = Fraction(1)
+        factors: list[tuple[int, ...]] = []
+        if self.peek() == "int":
+            coeff = self._rational()
+        else:
+            factors.extend(self._factor())
+        while self.peek() == "*":
+            self.take("*")
+            factors.extend(self._factor())
+        return SchubertExpression.monomial(factors, coeff)
+
+    def _rational(self) -> Fraction:
+        from fractions import Fraction
+
+        numerator = self.take("int")[1]
+        if self.peek() == "/":
+            self.take("/")
+            token = self.take("int")
+            if token[1] == 0:
+                raise CLIParseError("zero denominator", token[2])
+            return Fraction(numerator, token[1])
+        return Fraction(numerator)
+
+    def _factor(self) -> list[tuple[int, ...]]:
+        token = self.tokens[self.pos]
+        if token[0] == "a":
+            self.take("a")
+            k_token = self.take("int")
+            parts = _strict_parts((k_token[1],), self.n, k_token[2])
+        elif token[0] == "Q":
+            self.take("Q")
+            self.take("[")
+            first = self.take("int")
+            entries = [first[1]]
+            while self.peek() == ",":
+                self.take(",")
+                entries.append(self.take("int")[1])
+            self.take("]")
+            parts = _strict_parts(entries, self.n, first[2])
+        else:
+            raise CLIParseError(f"expected a factor, got {token[0]!r}", token[2])
+        exponent = 1
+        if self.peek() == "^":
+            self.take("^")
+            exponent = self.take("int")[1]
+        return [parts] * exponent
+
+
+def parse_poly(text: str, n: int) -> SchubertExpression:
+    """Parse the --poly grammar into a SchubertExpression."""
+    return _PolyParser(text, n).parse()
 
 
 def parse_genus_range(text: str) -> range:
@@ -177,7 +316,6 @@ def cmd_gw(args) -> int:
     params = {"command": "gw", "n": args.n, "genus": args.genus, "degree": args.degree,
               "partitions": args.partitions}
 
-    from ._grammar import parse_partition_list  # loaded by main before the clock
     from .invariants import gw_invariant
 
     def compute():
@@ -204,7 +342,6 @@ def cmd_intersect(args) -> int:
     params = {"command": "intersect", "n": args.n, "genus": args.genus, "ell": args.ell,
               "e": args.e, "poly": args.poly}
 
-    from ._grammar import parse_poly  # loaded by main before the clock
     from .invariants import intersection_number
 
     def compute():
@@ -320,11 +457,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # what the query runs loads before its clock starts, so that elapsed_ms
     # does not time the import; a count or table sums no point table and
-    # parses no class, so it loads neither the formulas nor the grammars
-    if args.subcommand in ("gw", "intersect"):
-        from . import _grammar, cyclotomic, symfunc  # noqa: F401  (the field loads _float too)
-    elif args.subcommand == "verify":
-        from . import cyclotomic, symfunc  # noqa: F401
+    # parses no class, so it loads neither the formulas nor `fractions`
+    if args.subcommand in ("gw", "intersect", "verify"):
+        from . import cyclotomic, invariants, symfunc  # noqa: F401  (the field loads _float too)
     elif args.backend != "exact":  # the float count is a product over plain points
         from . import _float  # noqa: F401
     return args.handler(args)

@@ -12,7 +12,7 @@ evaluation points of rank n:
 Each sum runs over the 2^n admissible exponent tuples; the summand is a power
 of the staircase Schur value times qtilde values of the inserted classes.  A
 sum whose factors are all staircase values (every count) is the count
-engine's (`_count`, whose names this module re-exports): exactly, integer
+engine's (`_count`; this module re-exports its public names): exactly, integer
 traces over point orbits.  Other sums stay in one cyclotomic field, their
 integer taken with a zero-residual check.
 """
@@ -23,16 +23,12 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from ._count import (  # noqa: F401 (re-exported)
-    _MAX_RANK,
+from ._count import (
     _check_rank_and_genus,
     _check_rank_limit,
-    _count_is_finite,
-    _orbit_signs,
+    _count_is_finite,  # noqa: F401 (verify reads it here)
     _orbit_staircases,
     _staircase_sum,
-    _trace_halves,
-    _trace_sum,
     maximal_count,
     maximal_subbundle_degree,
 )

@@ -11,12 +11,9 @@ from lgquot import _count, invariants
 from lgquot._ring import (
     _orbit_walk,
     _PackedRing,
-    _pick_sign,
     _ramanujan_sums,
     _ring_power,
     _ring_staircase,
-    _staircase_sign,
-    _summation_picks,
 )
 from lgquot.cli import main
 from lgquot.cyclotomic import CyclotomicNumber, euler_phi, root_of_unity
@@ -480,7 +477,7 @@ def test_orbit_trace_sum_matches_point_sum():
 
 
 def _full_ring_trace_sum(n, g, exponent, staircases):
-    """The reference for `invariants._trace_sum`: S formed in the full ring
+    """The reference for `_count._trace_sum`: S formed in the full ring
     Z[x]/(x^(4N) - 1) at every orbit representative, on every call."""
     m = 4 * (n + 1)
     sums = _ramanujan_sums(m)
@@ -587,7 +584,7 @@ def test_orbit_staircases_are_formed_once_per_rank(monkeypatch, capsys):
 def test_count_orbits_are_the_point_orbits_as_pick_vectors():
     # the count engine reads each orbit as its representative's pick vector
     # (bit i for pair i's high pick) with the walk's size, and its staircase
-    # sign from the bits, with no IndexTuple; partitions builds its
+    # sign from the decoded point, with no IndexTuple; partitions builds its
     # representatives from the same walk
     for n in range(1, 15):
         N = n + 1
@@ -597,10 +594,6 @@ def test_count_orbits_are_the_point_orbits_as_pick_vectors():
         assert [size for _rep, size in orbits] == [size for _v, size in picks]
         assert [(v, len(members)) for v, members in _orbit_walk(N, True)] == list(picks)
         assert _count._orbit_signs(n) == tuple(rep.staircase_sign for rep, _size in orbits)
-    for N in range(2, 11):
-        for d in _summation_picks(N):
-            v = sum(1 << (x + N - 1) // 2 - N for x in d if x > N)
-            assert _pick_sign(N, v) == _staircase_sign(N, d)
 
 
 def test_orbit_staircases_match_the_product_per_representative():

@@ -61,7 +61,7 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 # the modules a count leaves unloaded, in the order the tests list them
-LEAN = ("lgquot._float", "lgquot._frozen", "lgquot._grammar", "lgquot.cyclotomic",
+LEAN = ("lgquot._float", "lgquot._frozen", "lgquot.cyclotomic",
         "lgquot.invariants", "lgquot.partitions", "lgquot.symfunc", "lgquot.oracle",
         "lgquot.verify", "dataclasses", "decimal", "fractions")
 FLOAT = ["lgquot._float"]
@@ -126,7 +126,7 @@ def test_oracle_build_loads_neither_the_field_nor_the_tables(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["qh_algebra_n4_v1.json"]
 
 
-# an exact or float count or table loads no formula, no grammar, no partition
+# an exact or float count or table loads no formula, no partition
 # class and no `fractions` or `decimal`: only the package, `_ring`, `_count`
 # and `cli`, and `_float` on the float backend
 @pytest.mark.parametrize("argv, loaded", [
@@ -134,8 +134,8 @@ def test_oracle_build_loads_neither_the_field_nor_the_tables(tmp_path):
     (COUNT_0, []),
     (COUNT_BOTH, FLOAT),
     (COUNT_FLOAT, FLOAT),
-    (GW, _lean(TABLES, FORMULAS, ["lgquot._grammar"])),
-    (INTERSECT, _lean(TABLES, FORMULAS, ["lgquot._grammar"])),
+    (GW, _lean(TABLES, FORMULAS)),
+    (INTERSECT, _lean(TABLES, FORMULAS)),
     (TABLE, []),
     (TABLE_0, []),
     (TABLE_FLOAT, FLOAT),
@@ -153,20 +153,6 @@ def test_cli_process_imports_only_what_it_runs(argv, loaded, tmp_path):
     assert [code, lean] == [0, loaded]
     assert set(package) == {"lgquot", "lgquot._count", "lgquot._ring", "lgquot.cli", *loaded} - {
         "dataclasses", "decimal", "fractions"}
-
-
-def test_cli_grammars_resolve_on_first_use(tmp_path):
-    # `lgquot.cli` resolves the grammars of gw and intersect from `_grammar` on first use
-    script = (
-        f"import json, sys; sys.path.insert(0, {SRC!r}); import lgquot.cli as cli; "
-        f"before = 'lgquot._grammar' in sys.modules; "
-        f"from lgquot.cli import parse_partition_list; parse_poly = cli.parse_poly; "
-        f"from lgquot import _grammar; "
-        f"print(json.dumps([before, parse_poly is _grammar.parse_poly, "
-        f"parse_partition_list is _grammar.parse_partition_list, "
-        f"'parse_poly' in dir(cli), hasattr(cli, 'no_such_name')]))"
-    )
-    assert _run_script(script, tmp_path) == [False, True, True, True, False]
 
 
 # Each command loads what its query runs before the clock starts, so that
