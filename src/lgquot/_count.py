@@ -51,12 +51,13 @@ def _check_rank_and_genus(n: int, g: int) -> None:
 # genus nor the insertions.  So the slowest admitted exact queries take
 # minutes: on a shared 2-vCPU VM the rank-15 genus-0 gw with the 4-part
 # classes (14,13,12,6);(15,14,10);(15,12,7,2) took 351.8 s over the point
-# tables, and the count (18, 101, 0), whose power S'^100 has 100P + 1 bits a
-# slot, 178.6 s.  The float point tables of gw and intersect double in memory
-# with each rank; a float count builds none.  An exact count sums one trace
-# per point orbit instead, at genus 0 with no inverse: on a shared 2-vCPU VM
-# the median (21, 3, 0) process took 1.7-1.9 s and (21, 0, 1) 1.2 s in two
-# sessions, and (22, 3, 0), summed past the limit in-process, 3.5 s.
+# tables, and the count (18, 101, 0), whose power S'^100 has 100P + n + 1
+# bits a slot, 3-4 minutes.  The float point tables of gw and intersect
+# double in memory with each rank; a float count builds none.  An exact count
+# reads one trace per call instead, of its orbits' weights summed in the
+# packed ring, at genus 0 with no inverse: on a shared 2-vCPU VM the median
+# (21, 3, 0) process took 1.8-2.1 s and (21, 0, 1) 1.2-1.3 s in three
+# sessions, and (22, 3, 0), summed past the limit in-process, 4.3-5.2 s.
 _MAX_RANK = {"exact": 15, "float": 18, "count": 21}
 
 
@@ -119,12 +120,14 @@ def _trace_sum(n: int, g: int, exponent: int, staircases: int) -> int:
     rotation leaves it unchanged and a Galois map conjugates it: the sum is
     sum over orbits |O| * Tr(W at the representative) / phi(m), m = 4(n+1).
     In Z[x]/(x^m - 1), where Tr(x^j) is the Ramanujan sum c_m(j), the
-    representative's S^(g-1) is x^o times a polynomial in x^2, formed in
-    Z[u]/(u^(m/2) - 1) from `_orbit_staircases` and read at the residues
-    o + 2k: S' itself at g = 2, with no product, and its power above.  At
-    g = 0, (-1)^P * N^N * S^-1 = c * V, V the representative's Vandermonde
-    product in pair order and c one element for every point: each V is read
-    against the trace vector twisted by c, and the integrality division takes
+    representative's S^(g-1) is x^o times a polynomial in x^2.  The trace is
+    linear, so `_orbit_sums` adds up the orbits' packed weights, one sum per
+    parity of o and sign, and each sum is unpacked once and read against
+    its half of the trace vector: no orbit's weight is unpacked.  At
+    g = 1 every weight is 1, read at residue 0.  At g = 0,
+    (-1)^P * N^N * S^-1 = c * V, V the representative's Vandermonde product
+    in pair order and c one element for every point: the V are read against
+    the trace vector twisted by c, and the integrality division takes
     (-1)^P * N^N too (README, Conventions).  sqrt(2) = x^(m/8) + x^(-m/8)
     stays inside the trace (README, Conventions).  The trace vectors
     (`_trace_halves`) and the staircase signs (`_orbit_signs`) are formed
@@ -138,21 +141,14 @@ def _trace_sum(n: int, g: int, exponent: int, staircases: int) -> int:
     if points != 2**n:  # the integrality check below misses most such errors
         raise OrbitSizeError(f"the point orbits of rank {n} hold {points} points, not 2^{n}")
     halves = _trace_halves(n, n % 2 == staircases % 2 == 1, g == 0)
-    signs = _orbit_signs(n) if staircases % 2 else repeat(1)
     if g == 1:  # S^0 = 1
-        weights = repeat(((1,), 0))
+        signs = _orbit_signs(n) if staircases % 2 else repeat(1)
+        total = halves[0][0] * sum(sign * size for (_pick, size), sign in zip(orbits, signs))
     else:
-        ring, memo = _orbit_staircases(n, 0 if g else N)
-        if g <= 2:  # V' at genus 0, S' at genus 2
-            weights = ((ring.coeffs(W), lead) for W, lead in memo)
-        else:  # S' has 2^P monomials, so its power needs (g-1)P + 1 bits a slot (`_ring_power`)
-            wide = _PackedRing(2 * N, _byte_width((g - 1) * P + 1))
-            weights = ((wide.coeffs(wide.power(ring.repack(W, wide), g - 1)), (g - 1) * lead)
-                       for W, lead in memo)
-    total = 0
-    for (_pick, size), sign, (W, start) in zip(orbits, signs, weights):
-        start %= m
-        total += sign * size * sum(map(mul, W, halves[start % 2][start // 2:]))
+        ring, sums = _orbit_sums(n, g, staircases % 2 == 1)
+        total = 0
+        for (parity, sign), W in sums.items():
+            total += sign * sum(map(mul, ring.coeffs(W), halves[parity]))
     # Tr(1) = c_m(0) = phi(m)
     num, den = total << max(twos, 0), _ramanujan_sums(m)[0] << max(-twos, 0)
     if g == 0:
@@ -164,6 +160,35 @@ def _trace_sum(n: int, g: int, exponent: int, staircases: int) -> int:
     return num // den
 
 
+def _orbit_sums(n: int, g: int, signed: bool) -> tuple[_PackedRing, dict[tuple[int, int], int]]:
+    """The rank-n orbits' weights of `_trace_sum` at g != 1, summed in one packed ring.
+
+    An orbit's weight is x^o * W(x^2) in Z[x]/(x^(4N) - 1), N = n + 1: W is
+    the orbit's S' from `_orbit_staircases` at g = 2, its (g-1)-th power
+    above, with o the memo's lead times g - 1, and V' at g = 0.  Returns the
+    ring of W and, keyed by (o mod 2, sign), the sum of |O| * u^(o // 2) * W,
+    u = x^2 and o reduced modulo 4N, over the orbits of that parity and
+    staircase sign (every sign 1 unless `signed`).  So slot j of sum (p, s)
+    multiplies the trace at residue 2j + p.  Headroom: W has nonnegative
+    coefficients that add up to 2^((g-1)P) (2^P for V'), P = N(N-1)/2, and
+    the sizes add up to 2^n, so no slot of a sum reaches 2^(n + (g-1)P)
+    (2^(n + P) at g = 0).  The memo's slots hold P + n + 1 bits, and a power
+    is formed at (g-1)P + n + 1 bits, each rounded up to whole bytes.
+    """
+    N, m, P = n + 1, 4 * (n + 1), n * (n + 1) // 2
+    base, memo = _orbit_staircases(n, 0 if g else N)
+    ring = _PackedRing(2 * N, _byte_width((g - 1) * P + n + 1)) if g > 2 else base
+    signs = _orbit_signs(n) if signed else repeat(1)
+    sums = {}
+    for (_pick, size), sign, (W, lead) in zip(_orbit_picks(N), signs, memo):
+        if g > 2:
+            W, lead = ring.power(base.repack(W, ring), g - 1), (g - 1) * lead
+        start = lead % m
+        key = start % 2, sign
+        sums[key] = sums.get(key, 0) + size * ring.shift(W, start // 2)
+    return ring, sums
+
+
 @lru_cache(maxsize=None)
 def _trace_halves(n: int, root: bool, genus_zero: bool) -> tuple[tuple[int, ...], ...]:
     """The traces Tr(x^j) that `_trace_sum` reads at rank n, split by the parity of j.
@@ -171,8 +196,8 @@ def _trace_halves(n: int, root: bool, genus_zero: bool) -> tuple[tuple[int, ...]
     m = 4(n+1); with `root`, the traces of x^j * sqrt(2), sqrt(2) =
     x^(m/8) + x^(-m/8); with `genus_zero`, of x^j * c, c the product of
     y_a - y_b over a < b, y_a = x^(2 lo + 4a) the squared coordinate of pair
-    a, lo = 1 - N.  Entry h of half p is the trace at residue 2h + p; each
-    half is written twice, so a read from any start o runs m/2 slots on.
+    a, lo = 1 - N.  Entry h of half p is the trace at residue 2h + p: the
+    one that slot h of an `_orbit_sums` sum of parity p multiplies.
     """
     N, m = n + 1, 4 * (n + 1)
     trace = _ramanujan_sums(m)
@@ -182,7 +207,7 @@ def _trace_halves(n: int, root: bool, genus_zero: bool) -> tuple[tuple[int, ...]
         c = _ring_staircase(m, [(2 - 2 * N + 4 * a) % m for a in range(N)], 2 * N)
         trace = [sum(c_i * trace[(i + j) % m] for i, c_i in enumerate(c) if c_i)
                  for j in range(m)]
-    return tuple(tuple(trace[parity::2]) * 2 for parity in (0, 1))
+    return tuple(tuple(trace[parity::2]) for parity in (0, 1))
 
 
 @lru_cache(maxsize=None)
@@ -205,9 +230,11 @@ def _orbit_staircases(n: int, shift: int) -> tuple[_PackedRing, tuple[tuple[int,
     Z[u]/(u^(2N) - 1).  Shift 0 takes the d ascending and gives the staircase
     product S.  Shift N takes them in pair order, d_i from the pair
     (lo + 2i, lo + 2i + 2N), and gives V, the product of x_i - x_j, since
-    x^(2N) = -1 in the field.  Returns the ring, at P + 1 bits a slot rounded
-    up to whole bytes (so that a power's ring can widen it bytewise), and
-    per orbit S' packed in it, with d_1 * P.
+    x^(2N) = -1 in the field.  Returns the ring and, per orbit, S' packed in
+    it, with d_1 * P.  S' has 2^P monomials, so P + 1 bits a slot would hold
+    it; the ring has P + n + 1, rounded up to whole bytes (so that a power's
+    ring can widen it bytewise), so that `_orbit_sums` can add up S' or V'
+    times the orbit sizes, which add up to 2^n, in place.
 
     S is symmetric, so both shifts take the factors in pair order:
     x^(p_a) + x^(p_b + 2*shift) = x^(p_a) * (1 + u^f) over pairs a < b,
@@ -221,7 +248,7 @@ def _orbit_staircases(n: int, shift: int) -> tuple[_PackedRing, tuple[tuple[int,
     """
     N = n + 1
     P, high = N * (N - 1) // 2, shift // N
-    ring = _PackedRing(2 * N, _byte_width(P + 1))
+    ring = _PackedRing(2 * N, _byte_width(P + n + 1))
     picks = [v for v, _size in _orbit_picks(N)]
     memo = [None] * len(picks)
     # over pairs a < b with a >= i: partial[i] the product of the (1 + u^f),

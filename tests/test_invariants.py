@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -511,11 +512,12 @@ def test_half_ring_counts_match_the_full_ring_sum():
 
 
 def test_half_ring_staircase_gw_invariants_match_the_full_ring_sum():
-    # odd n with an odd number of insertions reads the sqrt(2)-shifted trace
+    # odd n with an odd number of insertions reads the sqrt(2)-shifted trace;
+    # genus 5 and 6 take powers 4 and 5, with minus sums at odd insertions
     checks = odd_root = 0
     for n in range(1, 10):
         top = staircase(n)
-        for g in range(1, 5):
+        for g in range(1, 7):
             for count in range(5):
                 d = required_degree(n, g, [top] * count)
                 if d is None:
@@ -524,7 +526,38 @@ def test_half_ring_staircase_gw_invariants_match_the_full_ring_sum():
                     n, g, n * (g - 1) - d, count)
                 checks += 1
                 odd_root += n % 2 * count % 2
-    assert (checks, odd_root) == (130, 20)
+    assert (checks, odd_root) == (195, 30)
+
+
+def test_orbit_sums_match_the_list_sum_of_rotated_weights():
+    # every slot of every packed sum against the same sum in list arithmetic:
+    # size times the orbit's weight rotated by o // 2, keyed by (o mod 2,
+    # sign).  A slot that overflowed its headroom would spill into the next
+    # one, which the integrality check of a count need not see; many of these
+    # sums need more than the (g-1)P + 1 bits that one weight needs
+    past_one_weight = minus = 0
+    for n in range(1, 13):
+        N = n + 1
+        m, P = 4 * N, N * (N - 1) // 2
+        for g in (0, 2, 3, 4):
+            base, memo = _count._orbit_staircases(n, 0 if g else N)
+            for signed in (False, True):
+                signs = _count._orbit_signs(n) if signed else [1] * len(memo)
+                reference = {}
+                for (_pick, size), sign, (W, lead) in zip(_count._orbit_picks(N), signs, memo):
+                    weight = base.coeffs(W)
+                    if g > 2:
+                        weight, lead = _ring_power(2 * N, weight, g - 1), (g - 1) * lead
+                    start = lead % m
+                    total = reference.setdefault((start % 2, sign), [0] * (2 * N))
+                    for k, c in enumerate(weight):
+                        total[(k + start // 2) % (2 * N)] += size * c
+                ring, sums = _count._orbit_sums(n, g, signed)
+                assert {key: ring.coeffs(W) for key, W in sums.items()} == reference
+                minus += sum(sign < 0 for _parity, sign in sums)
+                slot = max(max(total) for total in reference.values()).bit_length()
+                past_one_weight += slot > -(-((g - 1 if g else 1) * P + 1) // 8) * 8
+    assert (past_one_weight, minus) == (34, 40)
 
 
 def test_half_ring_staircase_is_the_even_slots_of_the_full_product():
@@ -545,16 +578,20 @@ def test_half_ring_staircase_is_the_even_slots_of_the_full_product():
 def test_orbit_staircases_are_formed_once_per_rank(monkeypatch, capsys):
     # a table over five genera forms the fixed element c of genus 0 once and
     # each orbit's S' (shift 0) and V' (shift N) in one memo per shift, kept
-    # packed; a second table at the rank forms no staircase product at all
+    # packed; a second table at the rank forms no staircase product at all.
+    # The trace read shifts each orbit's weight too, so only the shifts made
+    # by the memo's own pass are counted
     products, shifts = [], []
     ring_shift = _PackedRing.shift
+    memo_pass = _count._orbit_staircases.__wrapped__.__code__
 
     def spy(m, exponents, shift=0):
         products.append((m, exponents, shift))
         return _ring_staircase(m, exponents, shift)
 
     def shift_spy(ring, p, a):
-        shifts.append(ring.m)
+        if sys._getframe(1).f_code is memo_pass:
+            shifts.append(ring.m)
         return ring_shift(ring, p, a)
 
     monkeypatch.setattr(_count, "_ring_staircase", spy)
@@ -568,6 +605,7 @@ def test_orbit_staircases_are_formed_once_per_rank(monkeypatch, capsys):
         N, orbits = 7, point_orbits(7)
         assert products == [(4 * N, [(2 - 2 * N + 4 * a) % (4 * N) for a in range(N)], 2 * N)]
         assert _count._orbit_staircases.cache_info()[1:] == (2, None, 2)  # misses, size
+        assert set(shifts) == {2 * N}
         for shift in (0, N):
             _ring, memo = _count._orbit_staircases(6, shift)
             assert len(memo) == len(orbits)
@@ -604,7 +642,7 @@ def test_orbit_staircases_match_the_product_per_representative():
         P = N * (N - 1) // 2
         for shift in (0, N):
             ring, memo = invariants._orbit_staircases(n, shift)
-            assert (ring.m, ring.width) == (2 * N, -(-(P + 1) // 8) * 8)
+            assert (ring.m, ring.width) == (2 * N, -(-(P + n + 1) // 8) * 8)
             reference = []
             for rep, _size in point_orbits(N):
                 d = (sorted(rep.doubled, key=lambda x: (x + N - 1) // 2 % N) if shift
