@@ -237,24 +237,23 @@ def _staircase_sign(N: int, d: tuple[int, ...]) -> int:
     return -1 if ((N - 1) * turns + lows_before) % 2 else 1
 
 
-def _orbit_walk(N: int, maps: bool):
-    """The orbits of the summation points under the maps d -> a*d + 4s, as pick vectors.
+@lru_cache(maxsize=None)
+def _orbit_picks(N: int) -> tuple[tuple[int, int], ...]:
+    """The orbits of the summation points under the maps d -> a*d + 4s, as
+    (representative's pick vector, orbit size) pairs.
 
     Bit i of a pick vector says whether opposite pair i, (lo + 2i, lo + 2i + 2N),
     takes its high pick.  The window sums to 0, so unit product means an even
     number of high picks: the last bit follows from the others.  A unit a
     modulo 4N (Galois) sends each pair to a pair, flipping the pick or not: a
     bit permutation, applied five bits at a time, then an XOR.  Rotation d -> d + 4
-    moves every pick two pairs on and flips the two that wrap round.  Yields,
-    per orbit, its vector v of least low N-1 bits and, with `maps`, one
-    (vector, a, s) per member, the first (a, s), a then s ascending, whose map
-    sends v there; without, the orbit's size.
+    moves every pick two pairs on and flips the two that wrap round.  Each
+    orbit is represented by its vector of least low N-1 bits.
 
     Only the units a < 2N are walked.  For odd a, a + 2N = a(2N + 1) mod 4N,
     and d -> (2N + 1)d is the identity for odd N (d even) and the rotation
     s = N/2 for even N (d odd, so d + 2N = d + 4 * N/2).  So (a + 2N, s) sends
-    every point where (a, s + [N even] * N/2) does, an image already reached,
-    and the first (a, s) of each member is the same as over all the units.
+    every point where (a, s + [N even] * N/2) does, an image already reached.
     A unit's 5-bit tables are built by doubling, one pair's bit at a time.
     """
     m, full, half = 4 * N, (1 << N) - 1, (1 << (N - 1)) - 1
@@ -272,29 +271,21 @@ def _orbit_walk(N: int, maps: bool):
                     table += [t | b for t in table]
                 tables.append(table)
             flip = sum(b for b, t in zip(bits, images) if t >= N)
-            units.append((a, tables, flip))
+            units.append((tables, flip))
     seen = bytearray(half + 1)
+    orbits = []
     i = 0
     while (i := seen.find(0, i)) >= 0:
         v = i | (i.bit_count() & 1) << (N - 1)
-        members = [] if maps else 0
-        for a, tables, flip in units:
+        size = 0
+        for tables, flip in units:
             w = flip
             for k, table in enumerate(tables):
                 w ^= table[v >> 5 * k & 31]
-            for s in range(N):
+            for _s in range(N):
                 if not seen[w & half]:
                     seen[w & half] = 1
-                    if maps:
-                        members.append((w, a, s))
-                    else:
-                        members += 1
+                    size += 1
                 w = (w << 2 & full) | (w >> (N - 2) ^ 3)
-        yield v, members
-
-
-@lru_cache(maxsize=None)
-def _orbit_picks(N: int) -> tuple[tuple[int, int], ...]:
-    """The orbits of `_orbit_walk` as (representative's pick vector, orbit size) pairs."""
-    return tuple(_orbit_walk(N, False))
-
+        orbits.append((v, size))
+    return tuple(orbits)

@@ -17,13 +17,12 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
 
-from ._float import FloatBackend, _beyond_float_range  # noqa: F401 (re-exported)
+from ._float import FloatBackend
 from ._ring import (  # noqa: F401 (re-exported)
     NonIntegerValueError,
     NonvanishingAssumptionError,
     SingularEulerError,
     _factorize,
-    _mobius,
     _ramanujan_sums,
     euler_phi,
 )

@@ -26,8 +26,6 @@ from functools import lru_cache
 from ._count import (
     _check_rank_and_genus,
     _check_rank_limit,
-    _count_is_finite,  # noqa: F401 (verify reads it here)
-    _orbit_staircases,
     _staircase_sum,
     maximal_count,
     maximal_subbundle_degree,
@@ -38,7 +36,6 @@ from .partitions import (
     IndexTuple,
     _shape,
     as_strict,
-    point_orbit_members,
     staircase,
     summation_tuples,
 )
@@ -250,11 +247,9 @@ def _point_tables(n: int, kind: str):
         # the points are powers of the primitive 4(n+1)-th root, itself a power
         # of the backend's root: the tables build their values in the group ring
         scale = backend.order // (4 * (n + 1))
-        schur = _orbit_staircase_values(backend, n, scale)
         tables = tuple(PointTable(backend, exponents=[d * scale for d in J.doubled],
-                                  staircase_qtilde=signed[J.staircase_sign],
-                                  staircase_schur=S)
-                       for J, S in zip(points, schur))
+                                  staircase_qtilde=signed[J.staircase_sign])
+                       for J in points)
     else:
         # the points share 2N coordinates: each root is computed once, as
         # point_from_tuple computes it
@@ -265,30 +260,6 @@ def _point_tables(n: int, kind: str):
                                   staircase_qtilde=signed[J.staircase_sign])
                        for J in points)
     return backend, tables
-
-
-def _orbit_staircase_values(backend, n: int, scale: int) -> list:
-    """The staircase Schur value at every rank-n point, from each orbit's S' (`_orbit_staircases`).
-
-    With m = 4(n+1) * scale, S is x^(scale*d_1*P) * S'(x^(2*scale)) at a
-    point's exponents k_i = scale * d_i, in Z[x]/(x^m - 1).  The point
-    a*J + 4s has exponents a*k_i + 4s*scale, so S(a*J + 4s) =
-    x^(4s*scale*P) * sigma_a(S(J)), with sigma_a: x^j -> x^(a*j): a
-    permutation of the coefficients, each image reduced once (README,
-    Conventions).
-    """
-    m = backend.order
-    step = 4 * scale * (n * (n + 1) // 2)
-    values = [None] * 2**n
-    ring, memo = _orbit_staircases(n, 0)
-    for (_rep, members), (S, lead) in zip(point_orbit_members(n + 1), memo):
-        coeffs = [(scale * (lead + 2 * k) % m, c) for k, c in enumerate(ring.coeffs(S)) if c]
-        for i, a, s in members:
-            image = [0] * m
-            for j, c in coeffs:
-                image[(a * j + s * step) % m] = c
-            values[i] = backend.from_ring(image)
-    return values
 
 
 def point_from_tuple(backend, J: IndexTuple):

@@ -15,7 +15,6 @@ from itertools import combinations
 from ._frozen import Frozen
 from ._ring import (
     _orbit_picks,
-    _orbit_walk,
     _staircase_sign,
     _summation_picks,
     _window,
@@ -34,7 +33,6 @@ __all__ = [
     "filter_unit_product",
     "summation_tuples",
     "point_orbits",
-    "point_orbit_members",
 ]
 
 
@@ -225,24 +223,12 @@ def summation_tuples(N: int) -> tuple[IndexTuple, ...]:
     return tuple(IndexTuple(N, pick) for pick in _summation_picks(N))
 
 
-def point_orbit_members(N: int):
-    """The orbits of `_orbit_walk` by index in `summation_tuples(N)`.
-
-    Yields the representative's index and one (point index, a, s) per member.
-    """
-    lo = _window(N)[0]
-    index = {sum(1 << (d - lo) // 2 - N for d in J.doubled if d >= lo + 2 * N): i
-             for i, J in enumerate(summation_tuples(N))}
-    for v, members in _orbit_walk(N, True):
-        yield index[v], tuple((index[w], a, s) for w, a, s in members)
-
-
 @lru_cache(maxsize=None)
 def point_orbits(N: int) -> tuple[tuple[IndexTuple, int], ...]:
     """Orbits of the summation points: (representative, orbit size) pairs.
 
-    The orbits and representatives of `_orbit_walk`, from the walk that the
-    counts read as pick vectors (`_orbit_picks`); no other point is built.
+    The orbits and representatives of the walk that the counts read as pick
+    vectors (`_orbit_picks`); no other point is built.
     """
     lo = _window(N)[0]
     return tuple((IndexTuple(N, sorted(lo + 2 * (i + N * (v >> i & 1)) for i in range(N))), size)

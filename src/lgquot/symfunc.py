@@ -12,7 +12,7 @@ is reused across many partition labels.
 from __future__ import annotations
 
 from ._frozen import Frozen
-from ._ring import _PackedRing, _ring_power, _ring_staircase  # noqa: F401 (re-exported)
+from ._ring import _PackedRing, _ring_staircase
 from .partitions import _shape
 
 __all__ = [
@@ -43,12 +43,9 @@ class PointTable:
     qtilde and Schur values memoized by partition.  A caller that knows the
     qtilde value of the staircase (N-1, ..., 1) in closed form passes it as
     `staircase_qtilde`; otherwise it is a Pfaffian like any other qtilde value.
-    A caller that has the staircase Schur value passes it as `staircase_schur`;
-    otherwise it is the product of x_i + x_j, formed on first use.
     """
 
-    def __init__(self, backend, values=None, exponents=None, staircase_qtilde=None,
-                 staircase_schur=None):
+    def __init__(self, backend, values=None, exponents=None, staircase_qtilde=None):
         if (values is None) == (exponents is None):
             raise TypeError("a point is given by its values or by its exponents, exactly one")
         self.backend = backend
@@ -61,8 +58,7 @@ class PointTable:
         self._top = tuple(range(self.size - 1, 0, -1))
         self._qtilde: dict[tuple[int, ...], object] = (
             {} if staircase_qtilde is None else {self._top: staircase_qtilde})
-        self._schur: dict[tuple[int, ...], object] = (
-            {} if staircase_schur is None else {self._top: staircase_schur})
+        self._schur: dict[tuple[int, ...], object] = {}
 
     @property
     def values(self) -> tuple:

@@ -9,10 +9,10 @@ from __future__ import annotations
 import random
 
 from . import SUITE_NAMES
+from ._count import _count_is_finite
 from ._frozen import Frozen
 from .invariants import (
     SchubertExpression,
-    _count_is_finite,
     _point_tables,
     expected_dimension,
     gw_invariant,

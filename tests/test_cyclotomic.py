@@ -4,13 +4,13 @@ from math import gcd
 
 import pytest
 
+from lgquot._ring import _mobius
 from lgquot.cyclotomic import (
     CyclotomicNumber,
     ExactBackend,
     FloatBackend,
     NonIntegerValueError,
     NonvanishingAssumptionError,
-    _mobius,
     _ramanujan_sums,
     cyclotomic_polynomial,
     euler_phi,

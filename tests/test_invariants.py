@@ -8,9 +8,8 @@ from operator import mul
 
 import pytest
 
-from lgquot import _count, invariants
+from lgquot import _count, invariants, symfunc
 from lgquot._ring import (
-    _orbit_walk,
     _PackedRing,
     _ramanujan_sums,
     _ring_power,
@@ -243,15 +242,15 @@ def test_exact_counts_build_no_point_tables():
 
 def test_genus_one_counts_form_no_staircase_product():
     # S^0 = 1: a genus-1 count sums the bare traces over the orbits
-    invariants._orbit_staircases.cache_clear()
+    _count._orbit_staircases.cache_clear()
     try:
         assert maximal_count(9, 1, 0) == 2**9
         assert maximal_count(6, 1, -1) == 2**3
-        assert invariants._orbit_staircases.cache_info().currsize == 0
+        assert _count._orbit_staircases.cache_info().currsize == 0
         maximal_count(6, 2, 0)
-        assert invariants._orbit_staircases.cache_info().currsize == 1
+        assert _count._orbit_staircases.cache_info().currsize == 1
     finally:
-        invariants._orbit_staircases.cache_clear()
+        _count._orbit_staircases.cache_clear()
 
 
 def _pair_constant(N):
@@ -287,7 +286,7 @@ def test_genus_zero_weight_is_the_staircase_inverse_times_an_integer():
         N = n + 1
         m, P = 4 * N, N * (N - 1) // 2
         c = _pair_constant(N)
-        ring, memo = invariants._orbit_staircases(n, N)
+        ring, memo = _count._orbit_staircases(n, N)
         for (rep, _), (W, o) in zip(point_orbits(N), memo):
             S = CyclotomicNumber(m, _ring_staircase(m, [d % m for d in rep.doubled]))
             V = [0] * m
@@ -630,7 +629,6 @@ def test_count_orbits_are_the_point_orbits_as_pick_vectors():
         assert [sum(1 << (d + N - 1) // 2 - N for d in rep.doubled if d > N)
                 for rep, _size in orbits] == [v for v, _size in picks]
         assert [size for _rep, size in orbits] == [size for _v, size in picks]
-        assert [(v, len(members)) for v, members in _orbit_walk(N, True)] == list(picks)
         assert _count._orbit_signs(n) == tuple(rep.staircase_sign for rep, _size in orbits)
 
 
@@ -641,7 +639,7 @@ def test_orbit_staircases_match_the_product_per_representative():
         N = n + 1
         P = N * (N - 1) // 2
         for shift in (0, N):
-            ring, memo = invariants._orbit_staircases(n, shift)
+            ring, memo = _count._orbit_staircases(n, shift)
             assert (ring.m, ring.width) == (2 * N, -(-(P + n + 1) // 8) * 8)
             reference = []
             for rep, _size in point_orbits(N):
@@ -669,7 +667,7 @@ def test_genus_zero_traces_form_no_packed_product(monkeypatch):
     # genus 0 reads each V' against the twisted trace vector: no product at
     # all, where genus 3 squares each S' in the half ring, once per orbit
     products = _spy_on_packed_products(monkeypatch)
-    invariants._orbit_staircases.cache_clear()
+    _count._orbit_staircases.cache_clear()
     try:
         assert maximal_count(9, 0, 1) == 1
         assert maximal_count(8, 0, 0) == 0
@@ -680,13 +678,13 @@ def test_genus_zero_traces_form_no_packed_product(monkeypatch):
         assert len(point_orbits(9)) == 11
         assert products == [18] * 11
     finally:
-        invariants._orbit_staircases.cache_clear()
+        _count._orbit_staircases.cache_clear()
 
 
 def test_genus_two_counts_form_no_packed_product(monkeypatch):
     # S^1 is each orbit's S' as the memo keeps it: no power is formed
     products = _spy_on_packed_products(monkeypatch)
-    invariants._orbit_staircases.cache_clear()
+    _count._orbit_staircases.cache_clear()
     try:
         assert maximal_count(6, 2, 0) == 219136
         assert maximal_count(3, 2, 1) == maximal_count(3, 2, 3) == 128
@@ -696,7 +694,7 @@ def test_genus_two_counts_form_no_packed_product(monkeypatch):
         maximal_count(6, 4, 0)
         assert products == [14] * (2 * len(point_orbits(7)))
     finally:
-        invariants._orbit_staircases.cache_clear()
+        _count._orbit_staircases.cache_clear()
 
 
 def test_genus_zero_twist_is_formed_once_per_rank(monkeypatch):
@@ -727,28 +725,33 @@ def test_genus_zero_twist_is_formed_once_per_rank(monkeypatch):
         _count._orbit_staircases.cache_clear()
 
 
-def test_orbit_staircase_values_match_the_per_point_product(monkeypatch):
-    # the exact tables read each orbit's S' from the memo that the counts
-    # fill, and form no product of their own; each point's value equals the
-    # product formed at its own exponents, for both orders 4(n+1) (odd n) and
-    # 8(n+1)
+def test_exact_tables_form_each_staircase_product_on_first_use(monkeypatch):
+    # building the exact tables forms no staircase product; the first table sum
+    # that reads S forms one per point, at the point's own exponents, and later
+    # sums at the rank form none.  Both field orders are covered: 4(n+1) for
+    # odd n and 8(n+1) for even n
     products = []
 
     def spy(m, exponents, shift=0):
         products.append(exponents)
         return _ring_staircase(m, exponents, shift)
 
+    monkeypatch.setattr(symfunc, "_ring_staircase", spy)
     orders = set()
     _point_tables.cache_clear()
     try:
         for n in range(1, 11):
-            _count._orbit_staircases(n, 0)
-        monkeypatch.setattr(_count, "_ring_staircase", spy)
-        for n in range(1, 11):
+            del products[:]
             backend, tables = _point_tables(n, "exact")
             assert products == []
             orders.add(backend.order // (n + 1))
             top = staircase(n).parts
+            assert invariants._table_sum(n, 2, "exact", 0, [top]) == maximal_count(n, 2, 1)
+            assert len(products) == 2**n
+            assert invariants._table_sum(n, 3, "exact", n, []) == maximal_count(n, 3, 0)
+            if n <= 6:  # S^-1 at every point
+                assert invariants._table_sum(n, 0, "exact", -n, [top]) == maximal_count(n, 0, 1)
+            assert len(products) == 2**n
             for table in tables:
                 assert table._schur[top] == backend.from_ring(
                     _ring_staircase(backend.order, table.exponents))

@@ -9,6 +9,8 @@ from types import SimpleNamespace
 import pytest
 
 from lgquot import symfunc
+from lgquot._ring import _ring_power as ring_power
+from lgquot._ring import _ring_staircase as ring_staircase
 from lgquot.cyclotomic import ExactBackend, FloatBackend, make_backend
 from lgquot.invariants import point_from_tuple
 from lgquot.partitions import staircase, summation_tuples
@@ -23,8 +25,6 @@ from lgquot.symfunc import (
     qtilde_pair,
     schur,
 )
-from lgquot.symfunc import _ring_power as ring_power
-from lgquot.symfunc import _ring_staircase as ring_staircase
 
 BACKEND = ExactBackend(8)
 
@@ -318,8 +318,7 @@ def test_group_ring_tables_match_the_oracle():
 
 
 def test_exponent_table_takes_the_per_point_product(monkeypatch):
-    # a table given exponents but no staircase value, as built outside the
-    # formulas' point tables, forms the group-ring product at its own point
+    # a table given exponents forms the group-ring product at its own point
     products = []
 
     def spy(m, exponents):
