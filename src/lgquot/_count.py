@@ -54,10 +54,11 @@ def _check_rank_and_genus(n: int, g: int) -> None:
 # tables, and the count (18, 101, 0), whose power S'^100 has 100P + n + 1
 # bits a slot, 3-4 minutes.  The float point tables of gw and intersect
 # double in memory with each rank; a float count builds none.  An exact count
-# reads one trace per call instead, of its orbits' weights summed in the
-# packed ring, at genus 0 with no inverse: on a shared 2-vCPU VM the median
-# (21, 3, 0) process took 1.8-2.1 s and (21, 0, 1) 1.2-1.3 s in three
-# sessions, and (22, 3, 0), summed past the limit in-process, 4.3-5.2 s.
+# reads one trace per (rank, genus, ell parity) instead, of its orbits'
+# weights summed in the packed ring, at genus 0 with no inverse: on a shared
+# 2-vCPU VM the median (21, 3, 0) process took 1.8-2.1 s and (21, 0, 1)
+# 1.2-1.3 s in three sessions, and (22, 3, 0), summed past the limit
+# in-process, 4.3-5.2 s.
 _MAX_RANK = {"exact": 15, "float": 18, "count": 21}
 
 
@@ -98,10 +99,14 @@ def _staircase_sum(n: int, g: int, backend: str, exponent: int, staircases: int)
     trace per point orbit (`_trace_sum`), in floats a product over each
     point's coordinates (`_float._float_sum`).  This is the branch of
     `invariants._point_sum` for a sum whose factors are all staircase
-    qtilde values.
+    qtilde values.  The summand has degree (g - 1 + staircases) * P,
+    P = n(n+1)/2: for odd n and odd g - 1 + staircases, not a multiple of
+    n + 1, so rotating the points negates it and the exact sum is 0.
     """
     if backend == "exact":
         _check_rank_limit(n, "count")
+        if n % 2 and (g - 1 + staircases) % 2:
+            return 0
         return _trace_sum(n, g, exponent, staircases)
     if backend == "float":
         from ._float import _float_sum
@@ -112,43 +117,28 @@ def _staircase_sum(n: int, g: int, backend: str, exponent: int, staircases: int)
 
 
 def _trace_sum(n: int, g: int, exponent: int, staircases: int) -> int:
-    """`_staircase_sum` on the exact backend.
+    """`_staircase_sum` on the exact backend, for even n or even g - 1 + staircases.
 
     A staircase qtilde value is eps * 2^(n/2), eps the point's staircase sign,
     so the summand is 2^(n//2 * staircases) * W, W = eps^staircases * S^(g-1)
     times sqrt(2)^staircases for odd n.  Its degree is a multiple of n + 1, so
     rotation leaves it unchanged and a Galois map conjugates it: the sum is
     sum over orbits |O| * Tr(W at the representative) / phi(m), m = 4(n+1).
-    In Z[x]/(x^m - 1), where Tr(x^j) is the Ramanujan sum c_m(j), the
-    representative's S^(g-1) is x^o times a polynomial in x^2.  The trace is
-    linear, so `_orbit_sums` adds up the orbits' packed weights, one sum per
-    parity of o and sign, and each sum is unpacked once and read against
-    its half of the trace vector: no orbit's weight is unpacked.  At
-    g = 1 every weight is 1, read at residue 0.  At g = 0,
-    (-1)^P * N^N * S^-1 = c * V, V the representative's Vandermonde product
-    in pair order and c one element for every point: the V are read against
-    the trace vector twisted by c, and the integrality division takes
-    (-1)^P * N^N too (README, Conventions).  sqrt(2) = x^(m/8) + x^(-m/8)
-    stays inside the trace (README, Conventions).  The trace vectors
-    (`_trace_halves`) and the staircase signs (`_orbit_signs`) are formed
-    once per rank; the orbit sizes are read from `_orbit_picks` on every
-    call, and sizes that do not add up to 2^n raise OrbitSizeError.
+    The numerator, sum over orbits |O| * Tr(W), depends on (n, g,
+    staircases mod 2) alone and is read from `_trace_totals`, which keeps one
+    integer per key, of absolute value at most 2^(n + (g-1)P + 1) * phi(m)
+    (2^(n + 2P + 1) * phi(m) at g = 0), P = n(n+1)/2.  Only the total is
+    kept: every call checks the orbit sizes (`_checked_orbits`) and applies
+    the power of two, the genus-0 factor (-1)^P * N^N and the integrality
+    check (README, Conventions).
     """
     N, m, P = n + 1, 4 * (n + 1), n * (n + 1) // 2
     twos = exponent + n // 2 * staircases + n % 2 * (staircases // 2)
-    orbits = _orbit_picks(N)
-    points = sum(size for _, size in orbits)
-    if points != 2**n:  # the integrality check below misses most such errors
-        raise OrbitSizeError(f"the point orbits of rank {n} hold {points} points, not 2^{n}")
-    halves = _trace_halves(n, n % 2 == staircases % 2 == 1, g == 0)
-    if g == 1:  # S^0 = 1
-        signs = _orbit_signs(n) if staircases % 2 else repeat(1)
-        total = halves[0][0] * sum(sign * size for (_pick, size), sign in zip(orbits, signs))
+    total = _TOTALS.get((n, g, staircases % 2))
+    if total is None:  # formed after the same check of the orbit sizes
+        total = _trace_totals(n, [g], staircases % 2)[0]
     else:
-        ring, sums = _orbit_sums(n, g, staircases % 2 == 1)
-        total = 0
-        for (parity, sign), W in sums.items():
-            total += sign * sum(map(mul, ring.coeffs(W), halves[parity]))
+        _checked_orbits(n)
     # Tr(1) = c_m(0) = phi(m)
     num, den = total << max(twos, 0), _ramanujan_sums(m)[0] << max(-twos, 0)
     if g == 0:
@@ -160,33 +150,93 @@ def _trace_sum(n: int, g: int, exponent: int, staircases: int) -> int:
     return num // den
 
 
-def _orbit_sums(n: int, g: int, signed: bool) -> tuple[_PackedRing, dict[tuple[int, int], int]]:
-    """The rank-n orbits' weights of `_trace_sum` at g != 1, summed in one packed ring.
+# (n, g, odd) -> the sum over rank-n orbits of |O| * Tr(W) at genus g, with an
+# odd number of staircase factors if odd: each value is formed in full before
+# it is stored (README, Concurrency)
+_TOTALS: dict[tuple[int, int, int], int] = {}
 
-    An orbit's weight is x^o * W(x^2) in Z[x]/(x^(4N) - 1), N = n + 1: W is
-    the orbit's S' from `_orbit_staircases` at g = 2, its (g-1)-th power
-    above, with o the memo's lead times g - 1, and V' at g = 0.  Returns the
-    ring of W and, keyed by (o mod 2, sign), the sum of |O| * u^(o // 2) * W,
-    u = x^2 and o reduced modulo 4N, over the orbits of that parity and
-    staircase sign (every sign 1 unless `signed`).  So slot j of sum (p, s)
-    multiplies the trace at residue 2j + p.  Headroom: W has nonnegative
-    coefficients that add up to 2^((g-1)P) (2^P for V'), P = N(N-1)/2, and
-    the sizes add up to 2^n, so no slot of a sum reaches 2^(n + (g-1)P)
-    (2^(n + P) at g = 0).  The memo's slots hold P + n + 1 bits, and a power
-    is formed at (g-1)P + n + 1 bits, each rounded up to whole bytes.
+
+def _trace_totals(n: int, genera, odd: int) -> list[int]:
+    """The trace totals of `_trace_sum` at rank n, one per genus in `genera`.
+
+    The total at genus g is sum over orbits |O| * Tr(W), W the summand of
+    `_trace_sum` with an odd number of staircase factors if `odd`, less its
+    power of two.  W's coefficients add up to 2^((g-1)P) (V' and c 2^P each
+    at g = 0) and a trace read is at most 2 phi(m), so `_TOTALS` keeps an
+    integer of absolute value at most 2^(n + (g-1)P + 1) * phi(m)
+    (2^(n + 2P + 1) * phi(m) at g = 0) per key.  The missing totals of a
+    call are formed together: genus 1 from the orbit sizes, genus 0 from V',
+    and the rest from one power chain (`_orbit_sums`).  Each `_orbit_sums`
+    sum is unpacked once and read against its half of the trace vector
+    (`_trace_halves`), twisted by c at g = 0 and shifted by sqrt(2) =
+    x^(m/8) + x^(-m/8) for odd n and `odd` (README, Conventions).  The
+    orbit sizes are checked on every call.
+    """
+    orbits = _checked_orbits(n)
+    missing = sorted({g for g in genera if (n, g, odd) not in _TOTALS})
+    root = n % 2 == odd == 1
+    if 1 in missing:  # S^0 = 1, and the orbit sizes add up to 2^n
+        signed = (sum(sign * size for (_pick, size), sign in zip(orbits, _orbit_signs(n)))
+                  if odd else 1 << n)
+        _TOTALS[n, 1, odd] = _trace_halves(n, root, False)[0][0] * signed
+    for chain in [0] * (0 in missing), [g for g in missing if g > 1]:
+        if chain:
+            halves = _trace_halves(n, root, chain[0] == 0)
+            for g, (ring, sums) in zip(chain, _orbit_sums(n, chain, odd == 1)):
+                _TOTALS[n, g, odd] = sum(sign * sum(map(mul, ring.coeffs(W), halves[parity]))
+                                         for (parity, sign), W in sums.items())
+    return [_TOTALS[n, g, odd] for g in genera]
+
+
+def _checked_orbits(n: int) -> tuple[tuple[int, int], ...]:
+    """The rank-n orbits of `_orbit_picks`, once their sizes are seen to add up to 2^n."""
+    orbits = _orbit_picks(n + 1)
+    points = sum(size for _, size in orbits)
+    if points != 2**n:  # the integrality check of `_trace_sum` misses most such errors
+        raise OrbitSizeError(f"the point orbits of rank {n} hold {points} points, not 2^{n}")
+    return orbits
+
+
+def _orbit_sums(n: int, genera: list[int], signed: bool
+                ) -> list[tuple[_PackedRing, dict[tuple[int, int], int]]]:
+    """The rank-n orbits' weights of `_trace_sum` summed in one packed ring per genus.
+
+    `genera` is [0] or ascending genera above 1.  An orbit's weight is
+    x^o * W(x^2) in Z[x]/(x^(4N) - 1), N = n + 1: W is the orbit's S' from
+    `_orbit_staircases` at g = 2, its (g-1)-th power above, with o the memo's
+    lead times g - 1, and V' at g = 0.  Returns, per genus, the ring of W
+    and, keyed by (o mod 2, sign), the sum of |O| * u^(o // 2) * W, u = x^2
+    and o reduced modulo 4N, over the orbits of that parity and staircase
+    sign (every sign 1 unless `signed`).  So slot j of sum (p, s) multiplies
+    the trace at residue 2j + p.  Headroom: W has nonnegative coefficients
+    that add up to 2^((g-1)P) (2^P for V'), P = N(N-1)/2, and the sizes add
+    up to 2^n, so no slot of a sum reaches 2^(n + (g-1)P) (2^(n + P) at
+    g = 0).  The memo's slots hold P + n + 1 bits, and genus g's ring
+    (g-1)P + n + 1, each rounded up to whole bytes.  Each orbit's power is
+    raised from the base at the first genus above 2, then multiplied by S'
+    once per later genus up to the last, skipped ones included, both
+    widened bytewise into that genus's ring.
     """
     N, m, P = n + 1, 4 * (n + 1), n * (n + 1) // 2
-    base, memo = _orbit_staircases(n, 0 if g else N)
-    ring = _PackedRing(2 * N, _byte_width((g - 1) * P + n + 1)) if g > 2 else base
+    base, memo = _orbit_staircases(n, 0 if genera[0] else N)
+    steps = range(genera[0], genera[-1] + 1) if genera[0] else [0]
+    rings = [_PackedRing(2 * N, _byte_width((g - 1) * P + n + 1)) if g > 2 else base
+             for g in steps]
+    sums = [{} if g in genera else None for g in steps]
     signs = _orbit_signs(n) if signed else repeat(1)
-    sums = {}
-    for (_pick, size), sign, (W, lead) in zip(_orbit_picks(N), signs, memo):
-        if g > 2:
-            W, lead = ring.power(base.repack(W, ring), g - 1), (g - 1) * lead
-        start = lead % m
-        key = start % 2, sign
-        sums[key] = sums.get(key, 0) + size * ring.shift(W, start // 2)
-    return ring, sums
+    for (_pick, size), sign, (S, lead) in zip(_orbit_picks(N), signs, memo):
+        W = None
+        for g, ring, genus_sums in zip(steps, rings, sums):
+            if W is None:
+                W = ring.power(base.repack(S, ring), g - 1) if g > 2 else S
+            else:
+                W = ring.mul(previous.repack(W, ring), base.repack(S, ring))
+            previous = ring
+            if genus_sums is not None:
+                start = max(g - 1, 1) * lead % m
+                key = start % 2, sign
+                genus_sums[key] = genus_sums.get(key, 0) + size * ring.shift(W, start // 2)
+    return [(ring, genus_sums) for ring, genus_sums in zip(rings, sums) if genus_sums is not None]
 
 
 @lru_cache(maxsize=None)

@@ -25,7 +25,9 @@ from typing import TYPE_CHECKING
 from . import SUITE_NAMES
 from ._count import (
     _check_rank_and_genus,
+    _check_rank_limit,
     _count_is_finite,
+    _trace_totals,
     maximal_count,
     maximal_subbundle_degree,
 )
@@ -359,10 +361,14 @@ def cmd_table(args) -> int:
 
     def compute():
         _check_rank_and_genus(args.n, 0)  # a bad rank is refused, not skipped for parity
+        # a genus with no finite count has no row
+        genera = [g for g in parse_genus_range(args.genus_range)
+                  if _count_is_finite(args.n, g, args.ell)]
+        if args.backend != "float" and genera:  # every exact row's trace in one pass
+            _check_rank_limit(args.n, "count")
+            _trace_totals(args.n, genera, args.ell % 2)
         rows = []
-        for g in parse_genus_range(args.genus_range):
-            if not _count_is_finite(args.n, g, args.ell):
-                continue  # no finite count at this genus; row omitted
+        for g in genera:
             value = _on_backends(args.backend, maximal_count, args.n, g, args.ell)
             rows.append({"n": args.n, "g": g, "ell": args.ell,
                          "e": maximal_subbundle_degree(args.n, g, args.ell),

@@ -294,7 +294,7 @@ def _table_sum(n: int, g: int, backend: str, exponent: int, qtildes,
     top = staircase(n).parts
     total = eng.zero
     for table in tables:
-        term = eng.power(table.schur(top), g - 1)
+        term = eng.one if g == 1 else eng.power(table.schur(top), g - 1)  # S^0 = 1
         for parts in qtildes:
             term = term * table.qtilde(parts)
         if P is not None:

@@ -208,6 +208,34 @@ def test_table_json_round_trips_byte_identical():
     assert all(isinstance(r["value"], str) for r in rows)
 
 
+def test_table_rows_are_the_single_counts(capsys):
+    # the exact rows' trace totals are formed in one pass before the row
+    # loop; each row against a count formed on its own, on a cleared memo
+    from lgquot import _count
+    from lgquot.invariants import maximal_count
+
+    try:
+        for n in range(1, 13):
+            for ell in (0, 1):
+                for backend in ("exact", "both") if n <= 4 else ("exact",):
+                    _count._TOTALS.clear()
+                    assert main(["table", "--n", str(n), "--genus-range", "0..8", "--ell",
+                                 str(ell), "--format", "json", "--backend", backend]) == 0
+                    rows = json.loads(capsys.readouterr().out)["rows"]
+                    _count._TOTALS.clear()
+                    assert [(row["g"], int(row["value"])) for row in rows] == [
+                        (g, maximal_count(n, g, ell)) for g in range(9)
+                        if _count._count_is_finite(n, g, ell)]
+    finally:
+        _count._TOTALS.clear()
+
+
+def test_table_refuses_a_rank_above_the_count_limit_before_any_trace(capsys):
+    assert main(["table", "--n", "22", "--genus-range", "2..4", "--ell", "0"]) == 2
+    assert capsys.readouterr().out == (
+        "error USAGE: rank 22 is above the count limit of 21: a query would sum "
+        f"traces over the orbits of 2^22 = {2**22} points\n")
+
 def test_table_json_error_payload():
     cp = run_cli("table", "--n", "2", "--genus-range", "4..2", "--ell", "0",
                  "--format", "json")

@@ -243,6 +243,7 @@ def test_exact_counts_build_no_point_tables():
 def test_genus_one_counts_form_no_staircase_product():
     # S^0 = 1: a genus-1 count sums the bare traces over the orbits
     _count._orbit_staircases.cache_clear()
+    _count._TOTALS.clear()
     try:
         assert maximal_count(9, 1, 0) == 2**9
         assert maximal_count(6, 1, -1) == 2**3
@@ -251,6 +252,7 @@ def test_genus_one_counts_form_no_staircase_product():
         assert _count._orbit_staircases.cache_info().currsize == 1
     finally:
         _count._orbit_staircases.cache_clear()
+        _count._TOTALS.clear()
 
 
 def _pair_constant(N):
@@ -551,8 +553,11 @@ def test_orbit_sums_match_the_list_sum_of_rotated_weights():
                     total = reference.setdefault((start % 2, sign), [0] * (2 * N))
                     for k, c in enumerate(weight):
                         total[(k + start // 2) % (2 * N)] += size * c
-                ring, sums = _count._orbit_sums(n, g, signed)
+                ring, sums = _count._orbit_sums(n, [g], signed)[0]
                 assert {key: ring.coeffs(W) for key, W in sums.items()} == reference
+                if g > 2:  # the same sums at the end of a power chain from genus 2
+                    chain_ring, chain_sums = _count._orbit_sums(n, [2, g], signed)[1]
+                    assert (chain_ring.width, chain_sums) == (ring.width, sums)
                 minus += sum(sign < 0 for _parity, sign in sums)
                 slot = max(max(total) for total in reference.values()).bit_length()
                 past_one_weight += slot > -(-((g - 1 if g else 1) * P + 1) // 8) * 8
@@ -596,6 +601,7 @@ def test_orbit_staircases_are_formed_once_per_rank(monkeypatch, capsys):
     monkeypatch.setattr(_count, "_ring_staircase", spy)
     monkeypatch.setattr(_PackedRing, "shift", shift_spy)
     _count._orbit_staircases.cache_clear()
+    _count._TOTALS.clear()
     _count._trace_halves.cache_clear()
     _count._orbit_signs.cache_clear()
     try:
@@ -616,6 +622,7 @@ def test_orbit_staircases_are_formed_once_per_rank(monkeypatch, capsys):
         assert _count._orbit_staircases.cache_info()[1] == 2
     finally:
         _count._orbit_staircases.cache_clear()
+        _count._TOTALS.clear()
 
 
 def test_count_orbits_are_the_point_orbits_as_pick_vectors():
@@ -668,6 +675,7 @@ def test_genus_zero_traces_form_no_packed_product(monkeypatch):
     # all, where genus 3 squares each S' in the half ring, once per orbit
     products = _spy_on_packed_products(monkeypatch)
     _count._orbit_staircases.cache_clear()
+    _count._TOTALS.clear()
     try:
         assert maximal_count(9, 0, 1) == 1
         assert maximal_count(8, 0, 0) == 0
@@ -679,12 +687,14 @@ def test_genus_zero_traces_form_no_packed_product(monkeypatch):
         assert products == [18] * 11
     finally:
         _count._orbit_staircases.cache_clear()
+        _count._TOTALS.clear()
 
 
 def test_genus_two_counts_form_no_packed_product(monkeypatch):
     # S^1 is each orbit's S' as the memo keeps it: no power is formed
     products = _spy_on_packed_products(monkeypatch)
     _count._orbit_staircases.cache_clear()
+    _count._TOTALS.clear()
     try:
         assert maximal_count(6, 2, 0) == 219136
         assert maximal_count(3, 2, 1) == maximal_count(3, 2, 3) == 128
@@ -695,6 +705,7 @@ def test_genus_two_counts_form_no_packed_product(monkeypatch):
         assert products == [14] * (2 * len(point_orbits(7)))
     finally:
         _count._orbit_staircases.cache_clear()
+        _count._TOTALS.clear()
 
 
 def test_genus_zero_twist_is_formed_once_per_rank(monkeypatch):
@@ -710,6 +721,7 @@ def test_genus_zero_twist_is_formed_once_per_rank(monkeypatch):
 
     _count._trace_halves.cache_clear()
     _count._orbit_staircases.cache_clear()
+    _count._TOTALS.clear()
     monkeypatch.setattr(_count, "_ring_staircase", spy)
     try:
         assert maximal_count(7, 0, 1) == 1
@@ -723,7 +735,103 @@ def test_genus_zero_twist_is_formed_once_per_rank(monkeypatch):
     finally:
         _count._trace_halves.cache_clear()
         _count._orbit_staircases.cache_clear()
+        _count._TOTALS.clear()
 
+
+
+def test_staircase_sums_that_rotation_does_not_fix_are_zero():
+    # for odd n and odd g - 1 + staircases, rotating the points negates the
+    # summand, so the sum is 0; the orbit trace assumes a summand
+    # that rotation fixes, and is not asked, so no such total is kept
+    for n in (1, 3, 5, 7):
+        top = staircase(n).parts
+        for g in range(4):
+            for count in range(3):
+                assert _count._staircase_sum(n, g, "exact", 0, count) == invariants._table_sum(
+                    n, g, "exact", 0, [top] * count)
+    assert not [key for key in _count._TOTALS if key[0] % 2 and (key[1] - 1 + key[2]) % 2]
+
+
+def test_trace_totals_of_a_genus_range_match_single_genus_calls():
+    # one pass over a range, genus 0 and 1 on their own routes and a power
+    # chain above, skipping the genera with no finite count, against one
+    # genus per call on a cleared memo
+    try:
+        for n in range(1, 13):
+            for odd in (0, 1):
+                genera = [g for g in range(9) if not (n % 2 and (g - 1 + odd) % 2)]
+                _count._TOTALS.clear()
+                chained = _count._trace_totals(n, genera, odd)
+                single = []
+                for g in genera:
+                    _count._TOTALS.clear()
+                    single += _count._trace_totals(n, [g], odd)
+                assert chained == single
+    finally:
+        _count._TOTALS.clear()
+
+
+def test_a_sum_at_a_kept_trace_total_forms_no_product(monkeypatch):
+    # the first sum at a (rank, genus, ell parity) forms the total; a second
+    # one, a count or a staircase-only gw at the same key, forms no packed
+    # product and no staircase product
+    products = _spy_on_packed_products(monkeypatch)
+    staircases = []
+
+    def spy(m, exponents, shift=0):
+        staircases.append(m)
+        return _ring_staircase(m, exponents, shift)
+
+    monkeypatch.setattr(_count, "_ring_staircase", spy)
+    _count._trace_halves.cache_clear()
+    _count._orbit_staircases.cache_clear()
+    _count._TOTALS.clear()
+    keys = [(6, 0, 1), (6, 3, 0), (7, 4, 1), (5, 2, 1), (8, 1, 0)]
+    try:
+        values = [maximal_count(*key) for key in keys]
+        assert products and staircases
+        del products[:], staircases[:]
+        assert [maximal_count(*key) for key in keys] == values
+        assert gw_invariant(5, 2, 5, [staircase(5)]) == 13568
+        assert products == staircases == []
+    finally:
+        _count._trace_halves.cache_clear()
+        _count._orbit_staircases.cache_clear()
+        _count._TOTALS.clear()
+
+
+def test_a_genus_range_forms_one_product_per_orbit_per_later_genus(monkeypatch):
+    # the first genus above 2 raises S' from the base (genus 3: one squaring;
+    # genus 9: three), and each later genus, skipped ones included, is the
+    # last power times S'; genus 2 is S' itself
+    products = _spy_on_packed_products(monkeypatch)
+    _count._TOTALS.clear()
+    orbits = len(point_orbits(7))
+    try:
+        _count._trace_totals(6, range(3, 9), 0)
+        assert products == [14] * (orbits * (1 + 5))
+        del products[:]
+        _count._trace_totals(6, [9, 12], 0)
+        assert products == [14] * (orbits * (3 + 3))
+        del products[:]
+        _count._trace_totals(6, [2, 3, 4], 1)
+        assert products == [14] * (orbits * 2)
+    finally:
+        _count._TOTALS.clear()
+
+
+def test_genus_one_table_sums_form_no_staircase_value():
+    # S^0 = 1: a genus-1 sum over the exact point tables reads no S, so the
+    # first such gw at a rank forms no staircase product at any point
+    _point_tables.cache_clear()
+    try:
+        assert gw_invariant(5, 1, 1, [(3, 1), (2,)]) == 480
+        assert gw_invariant(6, 1, 2, [(4, 1), (6, 3)]) == 4144
+        for n in (5, 6):
+            _backend, tables = _point_tables(n, "exact")
+            assert not any(table._schur for table in tables)
+    finally:
+        _point_tables.cache_clear()
 
 def test_exact_tables_form_each_staircase_product_on_first_use(monkeypatch):
     # building the exact tables forms no staircase product; the first table sum
