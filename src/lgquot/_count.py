@@ -128,8 +128,9 @@ def _trace_sum(n: int, g: int, exponent: int, staircases: int) -> int:
     staircases mod 2) alone and is read from `_trace_totals`, which keeps one
     integer per key, of absolute value at most 2^(n + (g-1)P + 1) * phi(m)
     (2^(n + 2P + 1) * phi(m) at g = 0), P = n(n+1)/2.  Only the total is
-    kept: every call checks the orbit sizes (`_checked_orbits`) and applies
-    the power of two, the genus-0 factor (-1)^P * N^N and the integrality
+    kept: every call checks that it reads orbits whose sizes add up to 2^n
+    (`_checked_orbits`, which sums them once per walk) and applies the power
+    of two, the genus-0 factor (-1)^P * N^N and the integrality
     check (README, Conventions).
     """
     N, m, P = n + 1, 4 * (n + 1), n * (n + 1) // 2
@@ -170,7 +171,7 @@ def _trace_totals(n: int, genera, odd: int) -> list[int]:
     sum is unpacked once and read against its half of the trace vector
     (`_trace_halves`), twisted by c at g = 0 and shifted by sqrt(2) =
     x^(m/8) + x^(-m/8) for odd n and `odd` (README, Conventions).  The
-    orbit sizes are checked on every call.
+    orbits are checked on every call (`_checked_orbits`).
     """
     orbits = _checked_orbits(n)
     missing = sorted({g for g in genera if (n, g, odd) not in _TOTALS})
@@ -188,12 +189,22 @@ def _trace_totals(n: int, genera, odd: int) -> list[int]:
     return [_TOTALS[n, g, odd] for g in genera]
 
 
+# n -> the tuple of `_orbit_picks(n + 1)` whose sizes were last seen to add up to 2^n
+_CHECKED: dict[int, tuple[tuple[int, int], ...]] = {}
+
+
 def _checked_orbits(n: int) -> tuple[tuple[int, int], ...]:
-    """The rank-n orbits of `_orbit_picks`, once their sizes are seen to add up to 2^n."""
+    """The rank-n orbits of `_orbit_picks`, once their sizes are seen to add up to 2^n.
+
+    The sizes are summed once per tuple: a call that gets the tuple last
+    checked at rank n (`_CHECKED`) reads no orbit.
+    """
     orbits = _orbit_picks(n + 1)
-    points = sum(size for _, size in orbits)
-    if points != 2**n:  # the integrality check of `_trace_sum` misses most such errors
-        raise OrbitSizeError(f"the point orbits of rank {n} hold {points} points, not 2^{n}")
+    if _CHECKED.get(n) is not orbits:
+        points = sum(size for _, size in orbits)
+        if points != 2**n:  # the integrality check of `_trace_sum` misses most such errors
+            raise OrbitSizeError(f"the point orbits of rank {n} hold {points} points, not 2^{n}")
+        _CHECKED[n] = orbits
     return orbits
 
 

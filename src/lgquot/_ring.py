@@ -64,12 +64,6 @@ def euler_phi(m: int) -> int:
     return prod(p ** (e - 1) * (p - 1) for p, e in _factorize(m).items())
 
 
-def _mobius(m: int) -> int:
-    """The Moebius function of m >= 1."""
-    exponents = _factorize(m).values()
-    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
-
-
 @lru_cache(maxsize=None)
 def _ramanujan_sums(m: int) -> tuple[int, ...]:
     """The traces Tr(zeta^k) for every residue k < m: Ramanujan sums.
@@ -174,20 +168,6 @@ def _ring_staircase(m: int, exponents, shift: int = 0) -> list[int]:
             p += ring.shift(p, (b + shift - a) % m)
         lead += a * (len(exponents) - 1 - i)
     return ring.coeffs(ring.shift(p, lead % m))
-
-
-def _ring_power(m: int, coeffs, k: int) -> list[int]:
-    """The k-th power of an element with nonnegative coefficients, in Z[x]/(x^m - 1).
-
-    With 2^b the least power of two at or above the sum of the coefficients,
-    the expanded power has at most 2^(k*b) monomials, so no coefficient of it
-    or of a lower power reaches 2^(k*b + 1).  The staircase product has
-    2^pairs monomials, so its k-th power needs k*pairs + 1 bits a slot.  The
-    power itself is `_PackedRing.power`, from the base up: k = 0 gives the
-    unit, k = 1 forms no product.
-    """
-    ring = _PackedRing(m, k * (sum(coeffs) - 1).bit_length() + 1)
-    return ring.coeffs(ring.power(ring.pack(coeffs), k))
 
 
 # -- the summation points ---------------------------------------------------------

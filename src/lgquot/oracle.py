@@ -22,7 +22,10 @@ proves its ring commutative and associative from its operators
 generator operators are read from its rows, every other operator is rebuilt
 from them, and each row must be the one the rebuilt operators give
 (`_check_rows`).  The operators and traces are exact rational linear algebra.
-Only `eigenvalue_check` reads point values.
+Each algebra forms its Euler operator E once, and E^-1 once a genus-0 trace
+or the verify suite asks for it (`_euler_operators`); a trace still forms
+E^(g-1) on each call above genus 1, and only the diagonal of its last
+product.  Only `eigenvalue_check` reads point values.
 
 Structure constants are cached on disk as versioned JSON; see CACHE_FORMAT.
 """
@@ -153,7 +156,9 @@ class QHAlgebra(Frozen):
     """
 
     _fields = ("n", "basis", "constants")
-    __slots__ = _fields + ("_cached_index",)  # the index cache is not a field
+    # the caches are not fields: the basis index, and the Euler operator with
+    # its inverse (`_euler_operators`)
+    __slots__ = _fields + ("_cached_index", "_cached_euler")
 
     def __init__(self, n: int, basis: tuple[StrictPartition, ...], constants: dict) -> None:
         object.__setattr__(self, "n", n)
@@ -540,28 +545,60 @@ def quantum_euler(algebra: QHAlgebra) -> list[Fraction]:
     return total
 
 
-def trace_invariant(algebra: QHAlgebra, g: int, insertions) -> Fraction:
-    """Genus-g invariant as tr([Euler]^(g-1) * product of insertion operators).
+def _euler_operators(algebra: QHAlgebra, inverse: bool = False) -> tuple:
+    """The pair (E, E^-1) of the algebra, E the operator of `quantum_euler`, formed once.
 
-    For g = 0 the inverse Euler operator is used; a singular Euler operator
-    raises SingularEulerError.  When no admissible map degree exists for the
-    insertions the trace vanishes.
+    E is formed on the first call and E^-1 on the first that asks for it; the
+    second entry is None until then.  Each is formed in full before the pair
+    is stored in the algebra's cache slot, so a thread sharing the algebra
+    sees the old pair or the new one, and two threads may store equal pairs.
+    A singular E raises SingularEulerError on every call that asks for E^-1,
+    and nothing of the failure is stored.
     """
-    if g < 0:
-        raise ValueError(f"genus must be nonnegative, got {g}")
-    euler_op = mult_operator(algebra, quantum_euler(algebra))
-    if g == 0:
+    cached = getattr(algebra, "_cached_euler", None)
+    if cached is None:
+        cached = (mult_operator(algebra, quantum_euler(algebra)), None)
+        object.__setattr__(algebra, "_cached_euler", cached)
+    if inverse and cached[1] is None:
         try:
-            acc = mat_inverse(euler_op)
+            cached = (cached[0], mat_inverse(cached[0]))
         except SingularEulerError:
             raise SingularEulerError(
                 "quantum Euler operator is singular; the genus-0 trace is undefined"
             ) from None
-    else:
-        acc = mat_pow(euler_op, g - 1)
-    for lam in insertions:
-        acc = mat_mul(acc, mult_operator(algebra, as_strict(algebra.n, lam)))
-    return mat_trace(acc)
+        object.__setattr__(algebra, "_cached_euler", cached)
+    return cached
+
+
+def trace_invariant(algebra: QHAlgebra, g: int, insertions) -> Fraction:
+    """Genus-g invariant as tr([Euler]^(g-1) * product of insertion operators).
+
+    The Euler operator E, and E^-1 once a genus-0 trace needs it, are formed
+    once per algebra (`_euler_operators`); a singular E raises
+    SingularEulerError on every genus-0 call.  E^(g-1) is formed on each call
+    for g >= 2, and at g = 1 the product starts from the first insertion.
+    Only the diagonal of the last product is formed: tr(A L) is
+    sum over i, k of A[i][k] L[k][i].  When no admissible map degree exists
+    for the insertions the trace vanishes.
+    """
+    if g < 0:
+        raise ValueError(f"genus must be nonnegative, got {g}")
+    if g == 0:
+        acc = _euler_operators(algebra, inverse=True)[1]
+    elif g > 1:
+        acc = mat_pow(_euler_operators(algebra)[0], g - 1)
+    ops = [mult_operator(algebra, as_strict(algebra.n, lam)) for lam in insertions]
+    if g == 1:
+        if not ops:
+            return Fraction(algebra.dim)  # the trace of the identity
+        acc = ops.pop(0)
+    if not ops:
+        return mat_trace(acc)
+    *head, last = ops
+    for op in head:
+        acc = mat_mul(acc, op)
+    return sum((x * y for row, col in zip(acc, zip(*last)) for x, y in zip(row, col)),
+               Fraction(0))
 
 
 def eigenvalue_check(algebra: QHAlgebra) -> bool:

@@ -23,7 +23,7 @@ from .invariants import (
     verify_staircase_insertion,
     verify_twist_identity,
 )
-from .oracle import build_qh_algebra, mat_inverse, mult_operator, quantum_euler, trace_invariant
+from .oracle import _euler_operators, build_qh_algebra, trace_invariant
 
 __all__ = ["CheckOutcome", "identity_suite", "oracle_suite", "backend_suite", "run_suites"]
 
@@ -160,7 +160,7 @@ def oracle_suite(max_n: int = 3, seed: int = 0, cases: int = 50) -> list[CheckOu
     invertible = True
     for n, algebra in algebras.items():
         try:
-            mat_inverse(mult_operator(algebra, quantum_euler(algebra)))
+            _euler_operators(algebra, inverse=True)  # kept for the genus-0 traces
         except ArithmeticError:
             invertible = False
     outcomes.append(CheckOutcome("euler_invertible", invertible, ranks))

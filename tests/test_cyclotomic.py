@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from lgquot._ring import _mobius
+from lgquot._ring import _factorize
 from lgquot.cyclotomic import (
     CyclotomicNumber,
     ExactBackend,
@@ -45,6 +45,12 @@ def poly_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def _mobius(m: int) -> int:
+    """The Moebius function of m >= 1: the divisor formula's mu, read from `_factorize`."""
+    exponents = _factorize(m).values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
 
 
 def test_euler_phi():

@@ -12,7 +12,6 @@ from lgquot import _count, invariants, symfunc
 from lgquot._ring import (
     _PackedRing,
     _ramanujan_sums,
-    _ring_power,
     _ring_staircase,
 )
 from lgquot.cli import main
@@ -40,6 +39,7 @@ from lgquot.partitions import (
     strict_partitions,
     summation_tuples,
 )
+from test_symfunc import ring_power
 
 ONE = SchubertExpression.one()
 
@@ -490,7 +490,7 @@ def _full_ring_trace_sum(n, g, exponent, staircases):
     assert sum(size for _, size in orbits) == 2**n
     total = 0
     for rep, size in orbits:
-        W = _ring_power(m, _ring_staircase(m, [d % m for d in rep.doubled]), g - 1)
+        W = ring_power(m, _ring_staircase(m, [d % m for d in rep.doubled]), g - 1)
         sign = rep.staircase_sign if staircases % 2 else 1
         total += sign * size * sum(map(mul, W, trace))
     num, den = total << max(twos, 0), euler_phi(m) << max(-twos, 0)
@@ -548,7 +548,7 @@ def test_orbit_sums_match_the_list_sum_of_rotated_weights():
                 for (_pick, size), sign, (W, lead) in zip(_count._orbit_picks(N), signs, memo):
                     weight = base.coeffs(W)
                     if g > 2:
-                        weight, lead = _ring_power(2 * N, weight, g - 1), (g - 1) * lead
+                        weight, lead = ring_power(2 * N, weight, g - 1), (g - 1) * lead
                     start = lead % m
                     total = reference.setdefault((start % 2, sign), [0] * (2 * N))
                     for k, c in enumerate(weight):
@@ -706,6 +706,28 @@ def test_genus_two_counts_form_no_packed_product(monkeypatch):
     finally:
         _count._orbit_staircases.cache_clear()
         _count._TOTALS.clear()
+
+
+def test_a_repeated_count_reads_no_orbit(monkeypatch):
+    # the orbit sizes are summed once per walk: a count whose total is kept,
+    # on the walk already checked, iterates no orbit
+    iterations = []
+
+    class Walk(tuple):
+        def __iter__(self):
+            iterations.append(len(self))
+            return super().__iter__()
+
+    walk = Walk(_count._orbit_picks(7))
+    monkeypatch.setattr(_count, "_orbit_picks", lambda N: walk)
+    monkeypatch.setattr(_count, "_CHECKED", {})
+    assert maximal_count(6, 3, 0) == 7391875072
+    assert iterations
+    del iterations[:]
+    for _ in range(3):
+        assert maximal_count(6, 3, 0) == 7391875072
+    assert iterations == []
+    assert _count._CHECKED == {6: walk}
 
 
 def test_genus_zero_twist_is_formed_once_per_rank(monkeypatch):

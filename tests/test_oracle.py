@@ -3,7 +3,9 @@ import json
 import logging
 import random
 import sys
+import threading
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import lcm
 from operator import mul
 
@@ -12,6 +14,7 @@ import pytest
 from lgquot._ring import _ramanujan_sums, euler_phi
 from lgquot.cli import main
 from lgquot.invariants import _point_tables, gw_invariant, required_degree
+from lgquot import oracle
 from lgquot.oracle import (
     CACHE_FORMAT_VERSION,
     _MAX_RANK,
@@ -21,6 +24,7 @@ from lgquot.oracle import (
     _cache_path,
     _cache_text,
     _check_rows,
+    _euler_operators,
     _load_cache,
     _pieri_constants,
     _pieri_terms,
@@ -409,6 +413,139 @@ def test_singular_euler_error_for_degenerate_algebra():
                                       (1, 1): ()})
     with pytest.raises(SingularEulerError):
         trace_invariant(degenerate, 0, [])
+
+
+def _per_call_trace(algebra: QHAlgebra, g: int, insertions) -> Fraction:
+    """The reference trace: everything formed on the call, every product in full.
+
+    E = [quantum Euler class] is built, inverted (g = 0) or raised to g - 1
+    from the identity, multiplied by each insertion's operator in turn, and
+    the trace of the whole product is read.
+    """
+    euler_op = mult_operator(algebra, quantum_euler(algebra))
+    acc = mat_inverse(euler_op) if g == 0 else mat_pow(euler_op, g - 1)
+    for lam in insertions:
+        acc = mat_mul(acc, mult_operator(algebra, lam))
+    return mat_trace(acc)
+
+
+def test_kept_euler_operators_give_the_per_call_traces():
+    # ranks 1-2: every multiset of 0-3 basis classes at genus 0-6.  Above,
+    # where the reference costs up to 0.15 s a trace, seeded multisets per
+    # genus and number of insertions: at rank 3 one degree-matching and one
+    # vanishing, at rank 4 one, of each kind in turn (the other if none is)
+    rng = random.Random(44)
+    kinds = {True: 0, False: 0}
+    for n in (1, 2, 3, 4):
+        algebra = build_qh_algebra(n)
+        labels = [sp.parts for sp in algebra.basis]
+        for g in range(7):
+            for count in range(4):
+                multisets = list(combinations_with_replacement(labels, count))
+                if n > 2:
+                    rng.shuffle(multisets)
+                    order = (False, True) if (g + count) % 2 else (True, False)
+                    picked = [next((ins for ins in multisets
+                                    if (required_degree(n, g, ins) is None) == vanish), None)
+                              for vanish in order]
+                    multisets = [ins for ins in picked if ins is not None][:1 if n == 4 else 2]
+                for ins in multisets:
+                    value = trace_invariant(algebra, g, list(ins))
+                    assert type(value) is Fraction
+                    assert value == _per_call_trace(algebra, g, ins), (n, g, ins)
+                    vanishes = required_degree(n, g, ins) is None
+                    assert value == 0 or not vanishes
+                    kinds[vanishes] += 1
+    assert kinds[True] > 100 and kinds[False] > 100
+
+
+def test_euler_operator_and_inverse_formed_once_per_algebra(monkeypatch):
+    from lgquot import verify
+
+    calls = {"euler": 0, "inverse": 0}
+
+    def counted(name, function):
+        def spy(*args):
+            calls[name] += 1
+            return function(*args)
+        return spy
+
+    monkeypatch.setattr(oracle, "quantum_euler", counted("euler", oracle.quantum_euler))
+    monkeypatch.setattr(oracle, "mat_inverse", counted("inverse", oracle.mat_inverse))
+    algebra = build_qh_algebra(3)  # a reload: a new algebra, nothing kept yet
+    for g in (1, 1, 0, 2, 0, 3, 0, 4):
+        trace_invariant(algebra, g, [(2,), (3, 1)])
+    assert calls == {"euler": 1, "inverse": 1}
+    euler, inverse = _euler_operators(algebra, inverse=True)
+    assert calls == {"euler": 1, "inverse": 1}
+    assert euler == mult_operator(algebra, quantum_euler(algebra))
+    assert mat_mul(euler, inverse) == mat_identity(algebra.dim)
+    # the suite's euler_invertible check and its genus-0 traces share each inverse
+    calls.update(euler=0, inverse=0)
+    outcomes = verify.oracle_suite(max_n=2, cases=20)
+    assert all(outcome.passed for outcome in outcomes)
+    assert calls == {"euler": 2, "inverse": 2}
+
+
+def test_singular_euler_operator_raises_on_every_genus_zero_call(monkeypatch):
+    basis = tuple(strict_partitions(1))
+    degenerate = QHAlgebra(1, basis, {(0, 0): ((0, 0, 1),), (0, 1): ((1, 0, 1),),
+                                      (1, 1): ()})
+    inverses = []
+    monkeypatch.setattr(oracle, "mat_inverse",
+                        lambda a: inverses.append(a) or mat_inverse(a))
+    message = "quantum Euler operator is singular; the genus-0 trace is undefined"
+    for _ in range(2):
+        with pytest.raises(SingularEulerError) as caught:
+            trace_invariant(degenerate, 0, [(1,)])
+        assert str(caught.value) == message
+    assert len(inverses) == 2  # the failure is not stored
+    assert _euler_operators(degenerate)[1] is None
+    assert trace_invariant(degenerate, 2, [(1,)]) == 0  # E itself is kept and usable
+
+
+def test_kept_operators_change_no_field_nor_cache_text(tmp_path):
+    built = build_qh_algebra(3, cache_dir=tmp_path)
+    loaded = build_qh_algebra(3, cache_dir=tmp_path)
+    assert loaded is not built
+    text = _cache_text(built)
+    for g in range(4):
+        assert trace_invariant(built, g, [(3,), (2, 1)]) == trace_invariant(
+            loaded, g, [(3,), (2, 1)])
+    assert built == loaded
+    assert _cache_text(built) == _cache_text(loaded) == text
+    assert _cache_path(3, tmp_path).read_text() == text
+    with pytest.raises(TypeError):
+        hash(built)
+
+
+def test_threads_sharing_a_fresh_algebra_read_the_reference_traces():
+    queries = [(g, [(1,), (3, 1), (2,)][:k]) for g in range(5) for k in (1, 3)]
+    expected = [_per_call_trace(build_qh_algebra(3), g, ins) for g, ins in queries]
+    wrong = []
+
+    def trace(algebra, start, offset):
+        start.wait()
+        for i in range(len(queries)):
+            i = (i + offset) % len(queries)
+            if trace_invariant(algebra, *queries[i]) != expected[i]:
+                wrong.append(queries[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        algebra = build_qh_algebra(3)
+        start = threading.Barrier(8)
+        threads = [threading.Thread(target=trace, args=(algebra, start, offset))
+                   for offset in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong
 
 
 def test_rank_two_multiplication_table_frozen(algebras):

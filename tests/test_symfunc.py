@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from lgquot import symfunc
-from lgquot._ring import _ring_power as ring_power
+from lgquot._ring import _PackedRing
 from lgquot._ring import _ring_staircase as ring_staircase
 from lgquot.cyclotomic import ExactBackend, FloatBackend, make_backend
 from lgquot.invariants import point_from_tuple
@@ -342,6 +342,20 @@ def _cyclic_product(m, p, q):
         for j, b in enumerate(q):
             out[(i + j) % m] += a * b
     return out
+
+
+def ring_power(m: int, coeffs, k: int) -> list[int]:
+    """The k-th power of an element with nonnegative coefficients, in Z[x]/(x^m - 1).
+
+    With 2^b the least power of two at or above the sum of the coefficients,
+    the expanded power has at most 2^(k*b) monomials, so no coefficient of it
+    or of a lower power reaches 2^(k*b + 1).  The staircase product has
+    2^pairs monomials, so its k-th power needs k*pairs + 1 bits a slot.  The
+    power itself is `_PackedRing.power`, from the base up: k = 0 gives the
+    unit, k = 1 forms no product.
+    """
+    ring = _PackedRing(m, k * (sum(coeffs) - 1).bit_length() + 1)
+    return ring.coeffs(ring.power(ring.pack(coeffs), k))
 
 
 def test_ring_power_matches_repeated_products():
