@@ -128,9 +128,6 @@ class _PackedRing:
                 return result
             p = self.mul(p, p)
 
-    def pack(self, coeffs) -> int:
-        return sum(c << (k * self.width) for k, c in enumerate(coeffs) if c)
-
     def coeffs(self, p: int) -> list[int]:
         slot = (1 << self.width) - 1
         return [(p >> s) & slot for s in range(0, self.bits, self.width)]
@@ -234,7 +231,11 @@ def _orbit_picks(N: int) -> tuple[tuple[int, int], ...]:
     and d -> (2N + 1)d is the identity for odd N (d even) and the rotation
     s = N/2 for even N (d odd, so d + 2N = d + 4 * N/2).  So (a + 2N, s) sends
     every point where (a, s + [N even] * N/2) does, an image already reached.
-    A unit's 5-bit tables are built by doubling, one pair's bit at a time.
+    A unit's 5-bit tables are built by doubling, one pair's bit at a time
+    (at ranks 6-9, building 256-entry byte tables took longer than the walk).
+    A bytearray of 2^(N-1) seen-flags, indexed by the low N-1 bits, marks each
+    point as its orbit reaches it, and `bytearray.find` jumps to the next
+    unseen point: no list of the points is built.
     """
     m, full, half = 4 * N, (1 << N) - 1, (1 << (N - 1)) - 1
     lo = _window(N)[0]

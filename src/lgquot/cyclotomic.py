@@ -23,7 +23,6 @@ from ._ring import (  # noqa: F401 (re-exported)
     NonvanishingAssumptionError,
     SingularEulerError,
     _factorize,
-    _ramanujan_sums,
     euler_phi,
 )
 
@@ -146,11 +145,6 @@ class CyclotomicNumber:
         if fr.denominator != 1:
             raise NonIntegerValueError(f"value is not an integer: {fr}", value=self)
         return fr.numerator
-
-    def trace(self) -> Fraction:
-        """The field trace: the sum of the Galois conjugates, a rational number."""
-        sums = _ramanujan_sums(self.order)
-        return Fraction(sum(c * t for c, t in zip(self.num, sums) if c), self.den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

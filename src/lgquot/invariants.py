@@ -283,7 +283,6 @@ def _point_sum(n: int, g: int, backend: str, exponent: int, qtildes,
     # a rank-n strict partition with n parts is the staircase
     if P is None and all(len(q) == n for q in qtildes):
         return _staircase_sum(n, g, backend, exponent, len(qtildes))
-    _check_rank_limit(n, backend)
     return _table_sum(n, g, backend, exponent, qtildes, P)
 
 

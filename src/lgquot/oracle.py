@@ -90,18 +90,23 @@ def mat_mul(a, b) -> list[list[Fraction]]:
 
 
 def mat_pow(a, exponent: int) -> list[list[Fraction]]:
+    """a^exponent for exponent >= 0, raised from the base up as `_PackedRing.power` is.
+
+    bit_length(exponent) - 1 squarings and one product per further set bit:
+    exponent 1 forms no product and returns a copy of a, 0 the identity.
+    """
     if exponent < 0:
-        return mat_pow(mat_inverse(a), -exponent)
-    result = mat_identity(len(a))
-    base = [list(r) for r in a]
-    e = exponent
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        e >>= 1
-        if e:
-            base = mat_mul(base, base)
-    return result
+        raise ValueError(f"negative exponent {exponent}: invert with mat_inverse")
+    if not exponent:
+        return mat_identity(len(a))
+    base, result = [list(r) for r in a], None
+    while True:
+        if exponent & 1:
+            result = base if result is None else mat_mul(result, base)
+        exponent >>= 1
+        if not exponent:
+            return result
+        base = mat_mul(base, base)
 
 
 def mat_trace(a) -> Fraction:

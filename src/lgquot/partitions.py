@@ -14,7 +14,6 @@ from itertools import combinations
 
 from ._frozen import Frozen
 from ._ring import (
-    _orbit_picks,
     _staircase_sign,
     _summation_picks,
     _window,
@@ -32,7 +31,6 @@ __all__ = [
     "filter_no_opposites",
     "filter_unit_product",
     "summation_tuples",
-    "point_orbits",
 ]
 
 
@@ -221,15 +219,3 @@ def summation_tuples(N: int) -> tuple[IndexTuple, ...]:
     `filter_unit_product(filter_no_opposites(root_tuples(N)))`.
     """
     return tuple(IndexTuple(N, pick) for pick in _summation_picks(N))
-
-
-@lru_cache(maxsize=None)
-def point_orbits(N: int) -> tuple[tuple[IndexTuple, int], ...]:
-    """Orbits of the summation points: (representative, orbit size) pairs.
-
-    The orbits and representatives of the walk that the counts read as pick
-    vectors (`_orbit_picks`); no other point is built.
-    """
-    lo = _window(N)[0]
-    return tuple((IndexTuple(N, sorted(lo + 2 * (i + N * (v >> i & 1)) for i in range(N))), size)
-                 for v, size in _orbit_picks(N))

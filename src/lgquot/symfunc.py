@@ -36,7 +36,8 @@ class PointTable:
     (zeta the primitive m-th root).  Given exponents, the staircase Schur
     value and the elementary values are built in the group ring Z[x]/(x^m - 1),
     where multiplying by a coordinate is a cyclic shift of a coefficient
-    vector, and each is mapped into the backend once (`backend.from_ring`).
+    vector packed into one integer (`_PackedRing`), and each is reduced into
+    the backend once (`backend.from_ring`).
 
     Every value is computed on first use: the elementary values, the complete
     values (grown via the alternating recurrence), and the pairwise, full

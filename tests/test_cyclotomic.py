@@ -4,14 +4,13 @@ from math import gcd
 
 import pytest
 
-from lgquot._ring import _factorize
+from lgquot._ring import _factorize, _ramanujan_sums
 from lgquot.cyclotomic import (
     CyclotomicNumber,
     ExactBackend,
     FloatBackend,
     NonIntegerValueError,
     NonvanishingAssumptionError,
-    _ramanujan_sums,
     cyclotomic_polynomial,
     euler_phi,
     make_backend,
@@ -51,6 +50,13 @@ def _mobius(m: int) -> int:
     """The Moebius function of m >= 1: the divisor formula's mu, read from `_factorize`."""
     exponents = _factorize(m).values()
     return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
+
+
+def field_trace(x: CyclotomicNumber) -> Fraction:
+    """The field trace of x, the sum of its Galois conjugates: its coefficients
+    dotted with the Ramanujan sums Tr(zeta^k), a rational number."""
+    sums = _ramanujan_sums(x.order)
+    return Fraction(sum(c * t for c, t in zip(x.num, sums) if c), x.den)
 
 
 def test_euler_phi():
@@ -249,8 +255,8 @@ def test_trace_is_sum_of_galois_conjugates(m):
         for a in range(1, m):
             if gcd(a, m) == 1:
                 conjugates = conjugates + x._conjugate(a)
-        assert x.trace() == conjugates.as_fraction()
-    assert CyclotomicNumber(m, [1]).trace() == euler_phi(m)
+        assert field_trace(x) == conjugates.as_fraction()
+    assert field_trace(CyclotomicNumber(m, [1])) == euler_phi(m)
 
 
 @pytest.mark.parametrize("m", [9, 15, 40, 56, 72])
@@ -259,7 +265,7 @@ def test_ramanujan_sums_cover_every_residue(m):
     sums = _ramanujan_sums(m)
     assert len(sums) == m
     for e in range(m):
-        assert sums[e] == CyclotomicNumber(m, [0] * e + [1]).trace()
+        assert sums[e] == field_trace(CyclotomicNumber(m, [0] * e + [1]))
 
 
 def test_ramanujan_sums_match_the_divisor_formula():

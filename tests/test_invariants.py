@@ -34,12 +34,13 @@ from lgquot.invariants import (
 )
 from lgquot.partitions import (
     StrictPartition,
-    point_orbits,
     staircase,
     strict_partitions,
     summation_tuples,
 )
-from test_symfunc import ring_power
+from test_cyclotomic import field_trace
+from test_partitions import point_orbits
+from test_symfunc import pack, ring_power
 
 ONE = SchubertExpression.one()
 
@@ -446,7 +447,7 @@ def _orbit_sum(n, g, exponent, qtildes):
         term = backend.power(table.schur(staircase(n).parts), g - 1)
         for parts in qtildes:
             term = term * table.qtilde(parts)
-        total += size * term.trace()
+        total += size * field_trace(term)
     return total / euler_phi(backend.order) * Fraction(2) ** exponent
 
 
@@ -652,7 +653,7 @@ def test_orbit_staircases_match_the_product_per_representative():
             for rep, _size in point_orbits(N):
                 d = (sorted(rep.doubled, key=lambda x: (x + N - 1) // 2 % N) if shift
                      else rep.doubled)
-                reference.append((ring.pack(_ring_staircase(
+                reference.append((pack(ring, _ring_staircase(
                     2 * N, [(e - d[0]) // 2 for e in d], shift)), d[0] * P))
             assert memo == tuple(reference)
 

@@ -42,11 +42,11 @@ from lgquot.oracle import (
 )
 from lgquot.partitions import (
     dual_partition,
-    point_orbits,
     staircase,
     strict_partitions,
     summation_tuples,
 )
+from test_partitions import point_orbits
 
 
 @pytest.fixture(scope="module")
@@ -265,10 +265,46 @@ def test_matrix_helpers():
     m = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
     assert mat_mul(m, m) == mat_identity(2)
     assert mat_pow(m, 5) == m
+    assert mat_pow(m, 0) == mat_identity(2)
+    with pytest.raises(ValueError):
+        mat_pow(m, -1)
     assert mat_trace(m) == 0
     assert mat_inverse(m) == m
     with pytest.raises(SingularEulerError):
         mat_inverse([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
+
+
+def test_mat_pow_starts_from_the_base(monkeypatch):
+    # bit_length(k) - 1 squarings and one product per further set bit: E^1 is
+    # a copy with no product, and every power equals the square-and-multiply
+    # loop that starts at the identity
+    E = _euler_operators(build_qh_algebra(3))[0]
+
+    def reference(a, k):
+        result, base = mat_identity(len(a)), a
+        while k:
+            if k & 1:
+                result = mat_mul(result, base)
+            k >>= 1
+            base = mat_mul(base, base)
+        return result
+
+    products = []
+
+    def spy(a, b):
+        products.append(1)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(oracle, "mat_mul", spy)
+    counts = []
+    for k in range(1, 7):
+        products.clear()
+        power = mat_pow(E, k)
+        counts.append(len(products))
+        assert power == reference(E, k)
+    assert counts == [0, 1, 2, 2, 3, 3]
+    once = mat_pow(E, 1)
+    assert once == E and once is not E and all(a is not b for a, b in zip(once, E))
 
 
 def test_charpoly_known_cases():

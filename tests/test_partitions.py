@@ -1,10 +1,11 @@
 import cmath
+from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd, isclose, pi
 
 import pytest
 
-from lgquot._ring import _orbit_picks
+from lgquot._ring import _orbit_picks, _window
 from lgquot.cli import main
 from lgquot.cyclotomic import make_backend
 from lgquot.invariants import SchubertExpression
@@ -15,13 +16,24 @@ from lgquot.partitions import (
     dual_partition,
     filter_no_opposites,
     filter_unit_product,
-    point_orbits,
     root_tuples,
     staircase,
     strict_partitions,
     summation_tuples,
 )
 from lgquot.symfunc import PointTable
+
+
+@lru_cache(maxsize=None)
+def point_orbits(N: int) -> tuple[tuple[IndexTuple, int], ...]:
+    """The orbits of `_orbit_picks(N)` as (representative `IndexTuple`, orbit size) pairs.
+
+    Bit i of a pick vector says whether opposite pair i, (lo + 2i, lo + 2i + 2N),
+    takes its high pick.
+    """
+    lo = _window(N)[0]
+    return tuple((IndexTuple(N, sorted(lo + 2 * (i + N * (v >> i & 1)) for i in range(N))), size)
+                 for v, size in _orbit_picks(N))
 
 
 def test_partition_normalizes_trailing_zeros():

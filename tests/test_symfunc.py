@@ -344,6 +344,11 @@ def _cyclic_product(m, p, q):
     return out
 
 
+def pack(ring: _PackedRing, coeffs) -> int:
+    """The element of `ring` with the given coefficients, each in its own slot."""
+    return sum(c << (k * ring.width) for k, c in enumerate(coeffs) if c)
+
+
 def ring_power(m: int, coeffs, k: int) -> list[int]:
     """The k-th power of an element with nonnegative coefficients, in Z[x]/(x^m - 1).
 
@@ -355,7 +360,7 @@ def ring_power(m: int, coeffs, k: int) -> list[int]:
     unit, k = 1 forms no product.
     """
     ring = _PackedRing(m, k * (sum(coeffs) - 1).bit_length() + 1)
-    return ring.coeffs(ring.power(ring.pack(coeffs), k))
+    return ring.coeffs(ring.power(pack(ring, coeffs), k))
 
 
 def test_ring_power_matches_repeated_products():
